@@ -34,6 +34,9 @@ def main(argv=None) -> int:
     except (EpivoteError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: formula nests too deeply", file=sys.stderr)
+        return 2
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -342,6 +345,7 @@ def _parse_conditional_profile(m: ProfileModel, spec: str):
     rows = spec.split(";")
     if len(rows) != m.election.num_voters:
         raise ValueError(f"expected {m.election.num_voters} voter rows, got {len(rows)}")
+    candidates = set(m.election.candidates)
     out = []
     for i, row in zip(m.election.voters, rows):
         choices = [pref(c.strip()) for c in row.split(",")]
@@ -349,6 +353,11 @@ def _parse_conditional_profile(m: ProfileModel, spec: str):
             raise ValueError(
                 f"voter {i} has {len(m.blocks(i))} information sets, "
                 f"got {len(choices)} ballots")
+        for ballot in choices:
+            if set(ballot.order) != candidates:  # Preference rejects repeats
+                raise ValueError(
+                    f"voter {i}: ballot {ballot.as_text()} does not rank every "
+                    f"candidate exactly once")
         out.append(tuple(choices))
     return tuple(out)
 

@@ -74,15 +74,11 @@ def update_conditional_profile(
     old set (updates only split blocks), so it inherits that set's choice;
     sets with no surviving state disappear along with their choices.
     """
-    out = []
-    for i in m.election.voters:
-        old_blocks = list(m.blocks(i))
-        row = []
-        for block in u.model.blocks(i):
-            source = m.block_of(i, block[0])
-            row.append(cp[i - 1][old_blocks.index(source)])
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(
+        tuple(cp[i - 1][m.block_ids(i)[m.index(block[0])]]
+              for block in u.model.blocks(i))
+        for i in m.election.voters
+    )
 
 
 # ------------------------------------------------------------- preservation

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import SizeLimit
+from .errors import PartitionError, SizeLimit
 from .model import (
     DEFAULT_MAX_STATES,
     Candidate,
@@ -76,30 +76,18 @@ def conditional_profile(m: ProfileModel, choices) -> ConditionalProfile:
     return tuple(out)
 
 
-def _block_index_table(m: ProfileModel) -> list[list[int]]:
-    # table[state_index][voter_index] = which of the voter's blocks holds it
-    table = [[0] * m.election.num_voters for _ in m.states]
-    for vi, i in enumerate(m.election.voters):
-        for k, block in enumerate(m.blocks(i)):
-            for s in block:
-                table[m.index(s)][vi] = k
-    return table
-
-
 def induced_votes(m: ProfileModel, cp: ConditionalProfile, state: str) -> Profile:
     """The ballot each voter actually casts if the state is `state`."""
-    m.index(state)
-    prefs = []
+    si = m.index(state)
+    votes = []
     for vi, i in enumerate(m.election.voters):
-        prefs.append(cp[vi][_vote_index(m, i, state)])
-    return Profile(tuple(prefs))
-
-
-def _vote_index(m: ProfileModel, i: Voter, state: str) -> int:
-    for k, block in enumerate(m.blocks(i)):
-        if state in block:
-            return k
-    raise KeyError(state)
+        k = m.block_ids(i)[si]
+        if k < 0:
+            raise PartitionError(
+                f"voter {i}'s partition does not cover state {state!r}"
+            )
+        votes.append(cp[vi][k])
+    return Profile(tuple(votes))
 
 
 def induced_winners(
@@ -107,12 +95,11 @@ def induced_winners(
 ) -> tuple[Candidate, ...]:
     """Winner per state, states in file order."""
     e = m.election
-    table = _block_index_table(m)
-    out = []
-    for si in range(len(m.states)):
-        votes = Profile(tuple(cp[vi][table[si][vi]] for vi in range(e.num_voters)))
-        out.append(F.winner(e, votes))
-    return tuple(out)
+    ids = [m.block_ids(i) for i in e.voters]
+    return tuple(
+        F.winner(e, Profile(tuple(row[k[si]] for row, k in zip(cp, ids))))
+        for si in range(len(m.states))
+    )
 
 
 def worst_winner(
@@ -158,7 +145,7 @@ def is_conditional_equilibrium(
     states are recomputed.
     """
     e = m.election
-    table = _block_index_table(m)
+    ids = [m.block_ids(i) for i in e.voters]
     winners = induced_winners(m, F, cp)
     alts = e.orders()
     for vi, i in enumerate(e.voters):
@@ -174,7 +161,7 @@ def is_conditional_equilibrium(
                 for s in block:
                     si = m.index(s)
                     votes = Profile(tuple(
-                        alt if wj == vi else cp[wj][table[si][wj]]
+                        alt if wj == vi else cp[wj][ids[wj][si]]
                         for wj in range(e.num_voters)
                     ))
                     worst = min(worst, truth.rank_value(F.winner(e, votes)))

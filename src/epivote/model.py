@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DanglingState,
@@ -149,6 +150,14 @@ class ProfileModel:
     kept in file order (block order = order of each block's first state).
     ``tiebreak`` and ``point`` are optional at this layer: rules that need a
     tie-breaking order and pointed operations check for them at use time.
+
+    Every state lookup reads one index, built on first use and not part of
+    equality: a state -> position dict, and per voter a tuple aligned with
+    ``states`` holding the number of the block that contains each state.
+    ``block_ids(i)[k]`` is the position in ``blocks(i)`` of the block holding
+    ``states[k]``, or -1 when no block covers it. Only models that
+    ``validate_model`` rejects have -1 entries or overlapping blocks (where
+    the first block wins), so they still construct and can be reported.
     """
 
     election: Election
@@ -158,10 +167,30 @@ class ProfileModel:
     tiebreak: Preference | None = None
     point: str | None = None
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        pos: dict[str, int] = {}
+        for k, s in enumerate(self.states):
+            pos.setdefault(s, k)
+        return pos
+
+    @cached_property
+    def _block_ids(self) -> tuple[tuple[int, ...], ...]:
+        pos = self._positions
+        table = []
+        for blocks in self.partitions:
+            row = [-1] * len(self.states)
+            for k, block in enumerate(blocks):
+                for s in block:
+                    if s in pos and row[pos[s]] < 0:
+                        row[pos[s]] = k
+            table.append(tuple(row))
+        return tuple(table)
+
     def index(self, state: str) -> int:
         try:
-            return self.states.index(state)
-        except ValueError:
+            return self._positions[state]
+        except KeyError:
             raise UnknownState(f"no state named {state!r}") from None
 
     def profile_at(self, state: str) -> Profile:
@@ -170,23 +199,21 @@ class ProfileModel:
     def blocks(self, voter: Voter) -> tuple[InformationSet, ...]:
         return self.partitions[voter - 1]
 
+    def block_ids(self, voter: Voter) -> tuple[int, ...]:
+        """Per state (in ``states`` order), voter's block number or -1."""
+        return self._block_ids[voter - 1]
+
     def block_of(self, voter: Voter, state: str) -> InformationSet:
-        self.index(state)
-        for block in self.blocks(voter):
-            if state in block:
-                return block
-        raise PartitionError(
-            f"voter {voter}'s partition does not cover state {state!r}"
-        )
+        k = self.block_ids(voter)[self.index(state)]
+        if k < 0:
+            raise PartitionError(
+                f"voter {voter}'s partition does not cover state {state!r}"
+            )
+        return self.blocks(voter)[k]
 
     def profiles_of(self, block: InformationSet) -> list[Profile]:
         """Distinct profiles labelling the block's states, first-seen order."""
-        seen: list[Profile] = []
-        for s in block:
-            p = self.profile_at(s)
-            if p not in seen:
-                seen.append(p)
-        return seen
+        return list(dict.fromkeys(self.profile_at(s) for s in block))
 
     def pointed(self) -> "KnowledgeProfile":
         if self.point is None:
@@ -320,7 +347,7 @@ def validate_structure(m: ProfileModel) -> None:
             if not block:
                 raise PartitionError(f"voter {voter} has an empty block")
             for s in block:
-                if s not in m.states:
+                if s not in m._positions:
                     raise UnknownState(
                         f"voter {voter}'s partition mentions unknown state {s!r}"
                     )
@@ -350,27 +377,17 @@ def restrict(m: ProfileModel, keep) -> ProfileModel:
     kept if it survives, dropped to None otherwise. Raises EmptySet when no
     state survives (models must be nonempty).
     """
-    keep_set = set(keep)
-    states = tuple(s for s in m.states if s in keep_set)
+    keep_set = set(m.states).intersection(keep)
+    states = [s for s in m.states if s in keep_set]
     if not states:
         raise EmptySet("restriction keeps no state")
-    profiles = tuple(m.profile_at(s) for s in states)
-    order = {s: k for k, s in enumerate(states)}
-    partitions = []
+    partitions = {}
     for voter in m.election.voters:
-        blocks = []
-        for block in m.blocks(voter):
-            cut = tuple(s for s in block if s in keep_set)
-            if cut:
-                blocks.append(cut)
-        blocks.sort(key=lambda b: order[b[0]])
-        partitions.append(tuple(blocks))
-    return ProfileModel(
-        election=m.election,
-        states=states,
-        profiles=profiles,
-        partitions=tuple(partitions),
-        tiebreak=m.tiebreak,
+        cuts = ([s for s in block if s in keep_set] for block in m.blocks(voter))
+        partitions[voter] = [cut for cut in cuts if cut]
+    return make_model(
+        m.election, states, [m.profile_at(s) for s in states],
+        partitions=partitions, tiebreak=m.tiebreak,
         point=m.point if m.point in keep_set else None,
     )
 

@@ -96,17 +96,14 @@ def dominant_preference(
     i: Voter,
     truth: Preference,
     alt: Preference,
-    strong: bool = False,
     max_profiles: int = DEFAULT_MAX_STATES,
 ) -> bool:
-    """Is alt a dominant ballot for voter i whose real preference is truth?
+    """Is alt a weakly dominant ballot for voter i whose real preference is truth?
 
-    Weak (default): against every combination of ballots by everyone, alt's
-    outcome is at least as good for i as the outcome of any ballot she could
-    cast instead, and against some combination of the others' ballots it is
-    strictly better than voting truth. Strong: strictly better than every
-    ballot against every combination. A ballot never strictly improves on
-    itself, so strong is unsatisfiable; kept for contract completeness.
+    Against every combination of ballots by everyone, alt's outcome is at
+    least as good for i as the outcome of any ballot she could cast instead,
+    and against some combination of the others' ballots it is strictly
+    better than voting truth.
     """
     others = [v for v in e.voters if v != i]
     total = len(e.orders()) ** e.num_voters
@@ -119,15 +116,12 @@ def dominant_preference(
         with_alt = F.winner(e, _assemble(e, i, alt, assignment))
         for mine in orders:
             base = F.winner(e, _assemble(e, i, mine, assignment))
-            if strong:
-                if not truth.prefers(with_alt, base):
-                    return False
-            elif truth.prefers(base, with_alt):
+            if truth.prefers(base, with_alt):
                 return False
         sincere = F.winner(e, _assemble(e, i, truth, assignment))
         if truth.prefers(with_alt, sincere):
             strict_somewhere = True
-    return True if strong else strict_somewhere
+    return strict_somewhere
 
 
 def _assemble(e: Election, i: Voter, mine: Preference, others: dict[Voter, Preference]) -> Profile:

@@ -16,11 +16,6 @@ from .model import KnowledgeProfile, Preference, Profile, Voter
 from .rules import VotingRule, is_manipulation
 
 
-def min_candidate(p: Preference, cs) -> str:
-    """The p-worst candidate in a nonempty collection."""
-    return p.worst_of(cs)
-
-
 def knows_manipulation(
     kp: KnowledgeProfile, F: VotingRule, i: Voter, mode: str = "de_dicto"
 ):

@@ -229,6 +229,28 @@ def test_preserve_profile_arity_checked(capsys):
     assert "information sets" in err
 
 
+@pytest.mark.parametrize("spec", ["a>b>c,x>y>z;c>b>a", "a>b,c>b>a;c>b>a"])
+def test_preserve_profile_ballots_rank_every_candidate(capsys, spec):
+    code, _, err = run(capsys, "preserve", fixture_path("hidden-flip"),
+                       "--formula", "1: a>c",
+                       "--property", "conditional_equilibrium",
+                       "--profile", spec)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "exactly once" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", fixture_path("hidden-flip"), "-f", "~" * 3000 + "true"],
+    ["check", fixture_path("hidden-flip"), "-f", "(" * 200 + "true" + ")" * 200],
+    ["reduce", "--model", fixture_path("hidden-flip"), "-f", "~" * 990 + "true"],
+], ids=["check-negations", "check-parentheses", "reduce-negations"])
+def test_deep_nesting_is_an_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == "error: formula nests too deeply\n"
+
+
 def test_hunt_finds_and_repeats(capsys):
     code, first, _ = run(capsys, "hunt", "--property", "conditional_equilibrium",
                          "--seed", "0")
@@ -249,7 +271,8 @@ def test_hunt_exhausted_exits_one(capsys):
 def test_missing_model_file(capsys):
     code, _, err = run(capsys, "check", "no-such-file.model",
                        "--formula", "true")
-    assert code == 2 or code != 0
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_unknown_point_rejected(capsys):

@@ -1,7 +1,10 @@
 """Core model layer: elections, preferences, profiles, S5 structure."""
 
+import random
+
 import pytest
 
+from conftest import fixture_path
 from epivote import (
     Election,
     EmptySet,
@@ -12,9 +15,13 @@ from epivote import (
     SizeLimit,
     UnknownState,
     hypercube,
+    induced_votes,
+    load_model,
     make_model,
     pref,
     profile,
+    random_conditional_profile,
+    random_model,
     restrict,
     validate_model,
 )
@@ -37,6 +44,7 @@ def test_preference_worst_of():
     p = pref("b>a>c")
     assert p.worst_of(["a", "b", "c"]) == "c"
     assert p.worst_of(["b"]) == "b"
+    assert pref("c>b>a").worst_of(["a", "c"]) == "a"
     with pytest.raises(EmptySet):
         p.worst_of([])
 
@@ -132,6 +140,89 @@ def test_information_set_lookup(nested_doubt):
     assert nested_doubt.block_of(1, "t") == ("s", "t")
     assert nested_doubt.block_of(2, "t") == ("t", "u")
     assert nested_doubt.block_of(2, "s") == ("s",)
+
+
+def _scan_block(m, voter, state):
+    # the linear scan the index replaces: first block holding the state
+    for k, block in enumerate(m.blocks(voter)):
+        if state in block:
+            return k, block
+    return -1, None
+
+
+def _assert_lookup_matches_scans(m, rng):
+    for si, s in enumerate(m.states):
+        assert m.index(s) == m.states.index(s) == si
+    for i in m.election.voters:
+        assert m.block_ids(i) == tuple(_scan_block(m, i, s)[0] for s in m.states)
+        for s in m.states:
+            assert m.block_of(i, s) == _scan_block(m, i, s)[1]
+        for block in m.blocks(i):
+            seen = []
+            for s in block:
+                p = m.profiles[m.states.index(s)]
+                if p not in seen:
+                    seen.append(p)
+            assert m.profiles_of(block) == seen
+    cp = random_conditional_profile(rng, m)
+    for s in m.states:
+        votes = tuple(
+            cp[i - 1][_scan_block(m, i, s)[0]] for i in m.election.voters
+        )
+        assert induced_votes(m, cp, s).prefs == votes
+
+
+def _restrict_by_scans(m, keep):
+    # restrict as a cut of every block, blocks ordered by first state
+    states = tuple(s for s in m.states if s in keep)
+    partitions = tuple(
+        tuple(sorted(
+            (cut for cut in (tuple(s for s in b if s in keep) for b in m.blocks(i))
+             if cut),
+            key=lambda b: states.index(b[0]),
+        ))
+        for i in m.election.voters
+    )
+    return states, tuple(m.profiles[m.states.index(s)] for s in states), partitions
+
+
+def test_state_lookup_matches_linear_scans():
+    rng = random.Random(2018)
+    models = [load_model(fixture_path(name)) for name in (
+        "hidden-flip", "known-aligned", "known-opposed", "mutual-doubt",
+        "nested-doubt")]
+    models += [hypercube(ABC), hypercube(Election(("a", "b", "c"), 3))]
+    for k in range(40):
+        e = Election(("a", "b", "c"), 2 + k % 2)
+        m = random_model(rng, e, max_states=7)
+        models.append(m)
+        keep = rng.sample(m.states, rng.randint(1, len(m.states)))
+        r = restrict(m, keep)
+        assert (r.states, r.profiles, r.partitions) == _restrict_by_scans(
+            m, set(keep))
+        models.append(r)
+    for m in models:
+        _assert_lookup_matches_scans(m, rng)
+
+
+def test_lookup_on_unvalidated_partitions():
+    uncovered = make_model(ABC, ["s", "t"], [profile("a>b>c", "c>b>a")] * 2,
+                           partitions={1: [["s"]]})
+    assert uncovered.block_ids(1) == (0, -1)
+    with pytest.raises(PartitionError):
+        uncovered.block_of(1, "t")
+    with pytest.raises(UnknownState):
+        uncovered.block_of(1, "zz")
+    with pytest.raises(UnknownState):
+        uncovered.index("zz")
+    ballots = ((pref("a>b>c"),), (pref("b>a>c"), pref("c>a>b")))
+    assert induced_votes(uncovered, ballots, "s") == profile("a>b>c", "b>a>c")
+    with pytest.raises(PartitionError):
+        induced_votes(uncovered, ballots, "t")
+    overlapping = make_model(ABC, ["s", "t"], [profile("a>b>c", "c>b>a")] * 2,
+                             partitions={1: [["s", "t"], ["t"]]})
+    assert overlapping.block_ids(1) == (0, 0)
+    assert overlapping.block_of(1, "t") == ("s", "t")
 
 
 def test_profiles_of_collapses_duplicates(nested_doubt):

@@ -3,11 +3,8 @@
 import itertools
 import random
 
-import pytest
-
 from epivote import (
     Election,
-    EmptySet,
     KnowledgeProfile,
     Plurality,
     classify,
@@ -16,7 +13,6 @@ from epivote import (
     is_manipulation,
     knows_manipulation,
     make_model,
-    min_candidate,
     pessimistic_manipulation,
     pref,
     profile,
@@ -43,14 +39,6 @@ def two_state_models():
             tiebreak=pref("b>a>c"),
         )
         yield m
-
-
-def test_min_candidate():
-    assert min_candidate(pref("c>b>a"), ["a", "c"]) == "a"
-    assert min_candidate(pref("a>b>c"), ["b"]) == "b"
-    assert min_candidate(pref("a>b>c"), ["a", "b", "c"]) == "c"
-    with pytest.raises(EmptySet):
-        min_candidate(pref("a>b>c"), [])
 
 
 def test_singleton_infoset_collapses_all_notions(known_opposed):
