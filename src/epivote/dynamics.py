@@ -181,8 +181,10 @@ def random_model(
     Partitions are built by randomly splitting, per voter, the groups of
     states that share that voter's preference, so the result always
     satisfies the own-preference constraint. The tiebreak order is drawn at
-    random unless one is supplied.
+    random unless one is supplied. Raises ValueError when max_states < 2.
     """
+    if max_states < 2:
+        raise ValueError(f"max_states must be at least 2, got {max_states}")
     if e is None:
         e = Election(("a", "b", "c"), 2)
     orders = e.orders()
@@ -280,10 +282,12 @@ def search_counterexample(
     knowledge properties are preserved by every truthful announcement, so
     hunting them documents that fact by exhausting the budget. Deterministic
     given the seed; with F supplied its tiebreak is used for every model,
-    otherwise each model draws its own.
+    otherwise each model draws its own. Raises ValueError when budget < 1.
     """
     if property not in PROPERTIES:
         raise ValueError(f"unknown property {property!r}; choose from {PROPERTIES}")
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     if e is None:
         e = Election(("a", "b", "c"), 2)
     fixed_tiebreak = getattr(F, "tiebreak", None)

@@ -17,11 +17,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Iterator, NamedTuple
 
 from .errors import PartitionError, SizeLimit
 from .model import (
     DEFAULT_MAX_STATES,
     Candidate,
+    Election,
     InformationSet,
     Preference,
     Profile,
@@ -78,16 +81,8 @@ def conditional_profile(m: ProfileModel, choices) -> ConditionalProfile:
 
 def induced_votes(m: ProfileModel, cp: ConditionalProfile, state: str) -> Profile:
     """The ballot each voter actually casts if the state is `state`."""
-    si = m.index(state)
-    votes = []
-    for vi, i in enumerate(m.election.voters):
-        k = m.block_ids(i)[si]
-        if k < 0:
-            raise PartitionError(
-                f"voter {i}'s partition does not cover state {state!r}"
-            )
-        votes.append(cp[vi][k])
-    return Profile(tuple(votes))
+    ks = _blocks_at(m, m.index(state))
+    return Profile(tuple(row[k] for row, k in zip(cp, ks)))
 
 
 def induced_winners(
@@ -95,11 +90,26 @@ def induced_winners(
 ) -> tuple[Candidate, ...]:
     """Winner per state, states in file order."""
     e = m.election
-    ids = [m.block_ids(i) for i in e.voters]
     return tuple(
-        F.winner(e, Profile(tuple(row[k[si]] for row, k in zip(cp, ids))))
+        F.winner(e, Profile(tuple(
+            row[k] for row, k in zip(cp, _blocks_at(m, si))
+        )))
         for si in range(len(m.states))
     )
+
+
+def _blocks_at(m: ProfileModel, si: int) -> tuple[int, ...]:
+    """Each voter's block number at the si-th state.
+
+    Raises PartitionError when some voter's partition does not cover it.
+    """
+    ks = tuple(m.block_ids(i)[si] for i in m.election.voters)
+    if -1 in ks:
+        raise PartitionError(
+            f"voter {ks.index(-1) + 1}'s partition does not cover state "
+            f"{m.states[si]!r}"
+        )
+    return ks
 
 
 def worst_winner(
@@ -134,6 +144,81 @@ def deviate(
     return tuple(out)
 
 
+class _Player(NamedTuple):
+    """A virtual voter as the equilibrium check sees her.
+
+    Ballots sit in slots, one per virtual voter in virtual_voters order, so
+    slot order is the flattened conditional profile. ``rows`` gives, per
+    state of her block, the slot of each voter's ballot there. Her payoff and
+    her deviations read those slots and her own, nothing else.
+    """
+
+    voter: Voter
+    block: InformationSet
+    slot: int
+    truth: Preference
+    rows: tuple[tuple[int, ...], ...]
+
+
+def _slot_bounds(m: ProfileModel) -> list[int]:
+    """Voter i's slots run from entry i-1 to entry i (one more than voters)."""
+    return list(itertools.accumulate(
+        (len(m.blocks(i)) for i in m.election.voters), initial=0))
+
+
+def _players(m: ProfileModel) -> Iterator[_Player]:
+    """One _Player per virtual voter, in virtual_voters (slot) order.
+
+    Every state is checked up front, so a partition that misses a state
+    raises PartitionError before the first player is yielded.
+    """
+    first_slot = _slot_bounds(m)
+    at = [
+        tuple(o + k for o, k in zip(first_slot, _blocks_at(m, si)))
+        for si in range(len(m.states))
+    ]
+    for i in m.election.voters:
+        for k, block in enumerate(m.blocks(i)):
+            yield _Player(
+                i, block, first_slot[i - 1] + k,
+                m.profile_at(block[0]).pref(i),
+                tuple(at[m.index(s)] for s in block),
+            )
+
+
+def _first_improvement(
+    e: Election,
+    F: VotingRule,
+    p: _Player,
+    ballots: list,
+    alts: list[Preference],
+) -> Preference | None:
+    """The first ballot in alts that raises p's worst-case rank, or None.
+
+    ``ballots`` holds one ballot per slot and is read only at p's own slot
+    and at the slots in p.rows. A change of p's ballot only shifts winners
+    at states inside her block, so only those states are recomputed.
+    """
+    truth, vi = p.truth, p.voter - 1
+    base = [tuple(ballots[j] for j in row) for row in p.rows]
+    here = min(truth.rank_value(F.winner(e, Profile(votes))) for votes in base)
+    if here == len(e.candidates) - 1:
+        return None  # already gets her top everywhere, nothing beats it
+    own = ballots[p.slot]
+    for alt in alts:
+        if alt == own:
+            continue
+        worst = len(e.candidates)
+        for votes in base:
+            dev = Profile(votes[:vi] + (alt,) + votes[vi + 1:])
+            worst = min(worst, truth.rank_value(F.winner(e, dev)))
+            if worst <= here:
+                break
+        if worst > here:
+            return alt
+    return None
+
+
 def is_conditional_equilibrium(
     m: ProfileModel, F: VotingRule, cp: ConditionalProfile
 ) -> tuple[bool, tuple[VirtualVoter, Preference] | None]:
@@ -141,34 +226,14 @@ def is_conditional_equilibrium(
 
     Returns (True, None) or (False, (virtual voter, better ballot)) with the
     first improving deviation in enumeration order. All m! ballots are tried.
-    A change by (i, B) only shifts winners at states inside B, so only those
-    states are recomputed.
     """
     e = m.election
-    ids = [m.block_ids(i) for i in e.voters]
-    winners = induced_winners(m, F, cp)
+    ballots = [b for row in cp for b in row]
     alts = e.orders()
-    for vi, i in enumerate(e.voters):
-        for k, block in enumerate(m.blocks(i)):
-            truth = m.profile_at(block[0]).pref(i)
-            here = min(truth.rank_value(winners[m.index(s)]) for s in block)
-            if here == len(e.candidates) - 1:
-                continue  # already gets her top everywhere, nothing beats it
-            for alt in alts:
-                if alt == cp[vi][k]:
-                    continue
-                worst = len(e.candidates)
-                for s in block:
-                    si = m.index(s)
-                    votes = Profile(tuple(
-                        alt if wj == vi else cp[wj][ids[wj][si]]
-                        for wj in range(e.num_voters)
-                    ))
-                    worst = min(worst, truth.rank_value(F.winner(e, votes)))
-                    if worst <= here:
-                        break
-                if worst > here:
-                    return False, (VirtualVoter(i, block), alt)
+    for p in _players(m):
+        alt = _first_improvement(e, F, p, ballots, alts)
+        if alt is not None:
+            return False, (VirtualVoter(p.voter, p.block), alt)
     return True, None
 
 
@@ -182,29 +247,61 @@ def enumerate_conditional_equilibria(
 
     Order: ballots per block from ballot_space, blocks in model order, the
     later voter's strategy cycling fastest.
+
+    The search is depth-first over slots, one per virtual voter in that same
+    order, trying ballots in ballot_space order, so equilibria come out in
+    the order above with no sorting. A virtual voter's payoff reads only the
+    ballots of the blocks that meet her own block (her scope), so she is
+    checked as soon as the last slot of her scope is assigned, and the branch
+    is cut if she has an improving ballot. Her verdict is memoised on her
+    scope's ballots for the length of the call. Raises SizeLimit, before any
+    search, when the full product of conditional profiles exceeds
+    max_profiles.
     """
-    out = []
-    for cp in _all_conditional_profiles(m, by_top, max_profiles):
-        ok, _ = is_conditional_equilibrium(m, F, cp)
-        if ok:
-            out.append(cp)
-    return out
-
-
-def _all_conditional_profiles(m: ProfileModel, by_top: bool, max_profiles: int):
     e = m.election
     space = ballot_space(e, by_top)
-    total = 1
-    for i in e.voters:
-        total *= len(space) ** len(m.blocks(i))
+    bounds = _slot_bounds(m)
+    n = bounds[-1]
+    total = len(space) ** n
     if total > max_profiles:
         raise SizeLimit(
             f"{total} conditional profiles exceed the cap of {max_profiles}"
         )
-    per_voter = [
-        itertools.product(space, repeat=len(m.blocks(i))) for i in e.voters
-    ]
-    return itertools.product(*per_voter)
+    cuts = list(zip(bounds, bounds[1:]))
+    due: list[list[tuple[_Player, itemgetter, dict]]] = [[] for _ in range(n)]
+    for p in _players(m):
+        scope = sorted({p.slot}.union(*p.rows))
+        due[scope[-1]].append((p, itemgetter(*scope), {}))
+    alts = e.orders()
+    ballots: list = [None] * n
+    # Per slot, how many ballots of space have been tried. At an assigned slot
+    # that is one past its ballot's position, so the memo keys on these ints
+    # rather than hashing ballots.
+    tried = [0] * n
+    out = []
+    d = 0  # slots before d are assigned and every player due by then is stable
+    while d >= 0:
+        if d == n:
+            out.append(tuple(tuple(ballots[a:b]) for a, b in cuts))
+            d -= 1
+        elif tried[d] == len(space):
+            tried[d] = 0
+            d -= 1
+        else:
+            ballots[d] = space[tried[d]]
+            tried[d] += 1
+            for p, scope_of, memo in due[d]:
+                key = scope_of(tried)
+                stable = memo.get(key)
+                if stable is None:
+                    stable = memo[key] = (
+                        _first_improvement(e, F, p, ballots, alts) is None
+                    )
+                if not stable:
+                    break
+            else:
+                d += 1
+    return out
 
 
 def strategy_label(choices: tuple[Preference, ...], by_top: bool = True) -> str:
@@ -225,12 +322,18 @@ def payoff_string(m: ProfileModel, F: VotingRule, cp: ConditionalProfile) -> str
     A two-voter model where voter 1 has two blocks and voter 2 has one reads
     like '11.1': voter 1's blocks in model order, then voter 2's.
     """
+    return _payoff_digits(m, induced_winners(m, F, cp))
+
+
+def _payoff_digits(m: ProfileModel, winners: tuple[Candidate, ...]) -> str:
+    """payoff_string from the winner at each state."""
     groups = []
-    for vi, i in enumerate(m.election.voters):
-        digits = "".join(
-            str(payoff(m, F, cp, VirtualVoter(i, block)))
-            for block in m.blocks(i)
-        )
+    for i in m.election.voters:
+        digits = ""
+        for block in m.blocks(i):
+            truth = m.profile_at(block[0]).pref(i)
+            worst = min(truth.rank_value(winners[m.index(s)]) for s in block)
+            digits += str(worst)
         groups.append(digits)
     return ".".join(groups)
 
@@ -272,15 +375,16 @@ def payoff_matrix(
         raise SizeLimit(
             f"{len(rows) * len(cols)} cells exceed the cap of {max_profiles}"
         )
+    equilibria = set(enumerate_conditional_equilibria(m, F, by_top, max_profiles))
     winners, payoffs, stars = [], [], []
     for r in rows:
         wrow, prow, srow = [], [], []
         for c in cols:
             cp = (r, c)
-            wrow.append(winners_string(m, F, cp))
-            prow.append(payoff_string(m, F, cp))
-            ok, _ = is_conditional_equilibrium(m, F, cp)
-            srow.append(ok)
+            won = induced_winners(m, F, cp)
+            wrow.append("".join(won))
+            prow.append(_payoff_digits(m, won))
+            srow.append(cp in equilibria)
         winners.append(tuple(wrow))
         payoffs.append(tuple(prow))
         stars.append(tuple(srow))

@@ -28,27 +28,9 @@ def knows_manipulation(
     Returns (verdict, witnesses); witnesses are per-profile ballot lists for
     de_dicto, and the list of uniformly-working ballots for de_re.
     """
-    e = kp.election
-    considered = kp.model.profiles_of(kp.information_set(i))
-    alts = e.orders()
-    if mode == "de_dicto":
-        witnesses: dict[Profile, tuple[Preference, ...]] = {}
-        for p in considered:
-            working = tuple(
-                alt for alt in alts if is_manipulation(F, e, p, i, alt)
-            )
-            if not working:
-                return False, {}
-            witnesses[p] = working
-        return True, witnesses
-    if mode == "de_re":
-        uniform = tuple(
-            alt
-            for alt in alts
-            if all(is_manipulation(F, e, p, i, alt) for p in considered)
-        )
-        return bool(uniform), uniform
-    raise ValueError(f"mode must be de_dicto or de_re, not {mode!r}")
+    if mode not in ("de_dicto", "de_re"):
+        raise ValueError(f"mode must be de_dicto or de_re, not {mode!r}")
+    return _knows(kp.election, F, i, _considered(kp, i), mode)
 
 
 def dominant_manipulation_of_infoset(
@@ -60,17 +42,8 @@ def dominant_manipulation_of_infoset(
     everyone (including i) voting sincerely there, and for at least one
     considered profile it does strictly better.
     """
-    e = kp.election
-    truth = kp.model.profile_at(kp.point).pref(i)
-    strict = False
-    for p in kp.model.profiles_of(kp.information_set(i)):
-        deviated = F.winner(e, p.replace(i, alt))
-        sincere = F.winner(e, p)
-        if truth.prefers(sincere, deviated):
-            return False
-        if truth.prefers(deviated, sincere):
-            strict = True
-    return strict
+    truth = kp.truth().pref(i)
+    return _dominant(kp.election, F, i, truth, _considered(kp, i), alt)
 
 
 def pessimistic_manipulation(
@@ -81,9 +54,64 @@ def pessimistic_manipulation(
     Worst is taken with i's true preference over the outcomes of the
     considered profiles, others sincere in each.
     """
-    e = kp.election
-    truth = kp.model.profile_at(kp.point).pref(i)
-    considered = kp.model.profiles_of(kp.information_set(i))
+    truth = kp.truth().pref(i)
+    return _pessimistic(kp.election, F, i, truth, _considered(kp, i), alt)
+
+
+def _considered(kp: KnowledgeProfile, i: Voter) -> list[Profile]:
+    """The distinct profiles voter i considers possible at the point."""
+    return kp.model.profiles_of(kp.information_set(i))
+
+
+# The helpers below take the considered profiles, so classify reads them once.
+
+def _knows(e, F: VotingRule, i: Voter, considered: list[Profile], mode: str):
+    alts = e.orders()
+    if mode == "de_dicto":
+        witnesses: dict[Profile, tuple[Preference, ...]] = {}
+        for p in considered:
+            working = tuple(
+                alt for alt in alts if is_manipulation(F, e, p, i, alt)
+            )
+            if not working:
+                return False, {}
+            witnesses[p] = working
+        return True, witnesses
+    uniform = tuple(
+        alt
+        for alt in alts
+        if all(is_manipulation(F, e, p, i, alt) for p in considered)
+    )
+    return bool(uniform), uniform
+
+
+def _dominant(
+    e,
+    F: VotingRule,
+    i: Voter,
+    truth: Preference,
+    considered: list[Profile],
+    alt: Preference,
+) -> bool:
+    strict = False
+    for p in considered:
+        deviated = F.winner(e, p.replace(i, alt))
+        sincere = F.winner(e, p)
+        if truth.prefers(sincere, deviated):
+            return False
+        if truth.prefers(deviated, sincere):
+            strict = True
+    return strict
+
+
+def _pessimistic(
+    e,
+    F: VotingRule,
+    i: Voter,
+    truth: Preference,
+    considered: list[Profile],
+    alt: Preference,
+) -> bool:
     sincere_worst = truth.worst_of(F.winner(e, p) for p in considered)
     deviated_worst = truth.worst_of(
         F.winner(e, p.replace(i, alt)) for p in considered
@@ -122,19 +150,19 @@ def classify(kp: KnowledgeProfile, F: VotingRule, i: Voter) -> ManipulationRepor
     """Run every manipulation notion for voter i and label the strongest."""
     e = kp.election
     actual = kp.truth()
+    truth = actual.pref(i)
+    considered = _considered(kp, i)
     manipulation_alts = tuple(
         alt for alt in e.orders() if is_manipulation(F, e, actual, i, alt)
     )
     dominant_alts = tuple(
-        alt
-        for alt in e.orders()
-        if dominant_manipulation_of_infoset(kp, F, i, alt)
+        alt for alt in e.orders() if _dominant(e, F, i, truth, considered, alt)
     )
     pessimistic_alts = tuple(
-        alt for alt in e.orders() if pessimistic_manipulation(kp, F, i, alt)
+        alt for alt in e.orders() if _pessimistic(e, F, i, truth, considered, alt)
     )
-    de_dicto, dicto_witnesses = knows_manipulation(kp, F, i, "de_dicto")
-    de_re, re_alts = knows_manipulation(kp, F, i, "de_re")
+    de_dicto, dicto_witnesses = _knows(e, F, i, considered, "de_dicto")
+    de_re, re_alts = _knows(e, F, i, considered, "de_re")
     flags = {
         "knows_de_re": de_re,
         "knows_de_dicto": de_dicto,

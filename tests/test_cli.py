@@ -268,6 +268,17 @@ def test_hunt_exhausted_exits_one(capsys):
     assert "budget exhausted after 40 tries" in out
 
 
+@pytest.mark.parametrize("flags", [
+    ["--budget", "-3"], ["--budget", "0"], ["--max-states", "1"],
+], ids=["negative-budget", "zero-budget", "one-state"])
+def test_hunt_rejects_bad_bounds(capsys, flags):
+    code, out, err = run(capsys, "hunt", "--property", "conditional_equilibrium",
+                         *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_missing_model_file(capsys):
     code, _, err = run(capsys, "check", "no-such-file.model",
                        "--formula", "true")

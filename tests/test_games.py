@@ -32,6 +32,7 @@ from epivote import (
     VirtualVoter,
     worst_winner,
 )
+from epivote.rules import ballot_space
 
 E2 = Election(("a", "b", "c"), 2)
 F = Plurality(pref("b>a>c"))
@@ -266,6 +267,35 @@ def test_brute_force_oracle_agreement():
         for cp in combos:
             mine, _ = is_conditional_equilibrium(m, rule, cp)
             assert mine == oracle(m, rule, cp)
+
+
+def _equilibria_by_brute_force(m, rule, by_top):
+    space = ballot_space(m.election, by_top)
+    per_voter = [itertools.product(space, repeat=len(m.blocks(i)))
+                 for i in m.election.voters]
+    return [cp for cp in itertools.product(*per_voter)
+            if is_conditional_equilibrium(m, rule, cp)[0]]
+
+
+def test_search_matches_brute_force(all_fixture_models):
+    """The pruned search lists what the full product lists, in its order."""
+    rng = random.Random(4)
+    E3 = Election(("a", "b", "c"), 3)
+    models = list(all_fixture_models.values())
+    models += [random_model(rng) for _ in range(60)]
+    models += [random_model(rng, E3, max_states=rng.choice((3, 4)))
+               for _ in range(30)]
+    compared = 0
+    for m in models:
+        rule = Plurality(m.tiebreak)
+        slots = sum(len(m.blocks(i)) for i in m.election.voters)
+        for by_top in (True, False):
+            if len(ballot_space(m.election, by_top)) ** slots > 3 ** 8:
+                continue
+            found = enumerate_conditional_equilibria(m, rule, by_top=by_top)
+            assert found == _equilibria_by_brute_force(m, rule, by_top)
+            compared += 1
+    assert compared >= 100
 
 
 def test_matrix_requires_two_voters():

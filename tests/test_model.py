@@ -11,11 +11,15 @@ from epivote import (
     KnowledgeProfile,
     OwnPreferenceViolation,
     PartitionError,
+    Plurality,
     Preference,
     SizeLimit,
     UnknownState,
+    enumerate_conditional_equilibria,
     hypercube,
     induced_votes,
+    induced_winners,
+    is_conditional_equilibrium,
     load_model,
     make_model,
     pref,
@@ -219,6 +223,17 @@ def test_lookup_on_unvalidated_partitions():
     assert induced_votes(uncovered, ballots, "s") == profile("a>b>c", "b>a>c")
     with pytest.raises(PartitionError):
         induced_votes(uncovered, ballots, "t")
+    # voter 2 has one block that misses t: nothing may read her last ballot
+    half = make_model(ABC, ["s", "t"], [profile("a>b>c", "c>b>a")] * 2,
+                      partitions={2: [["s"]]})
+    cp = ((pref("a>b>c"), pref("b>a>c")), (pref("c>a>b"),))
+    rule = Plurality(pref("a>b>c"))
+    for call in (lambda: induced_votes(half, cp, "t"),
+                 lambda: induced_winners(half, rule, cp),
+                 lambda: is_conditional_equilibrium(half, rule, cp),
+                 lambda: enumerate_conditional_equilibria(half, rule)):
+        with pytest.raises(PartitionError, match="voter 2's partition"):
+            call()
     overlapping = make_model(ABC, ["s", "t"], [profile("a>b>c", "c>b>a")] * 2,
                              partitions={1: [["s", "t"], ["t"]]})
     assert overlapping.block_ids(1) == (0, 0)

@@ -7,6 +7,7 @@ from epivote import (
     Election,
     KnowledgeProfile,
     Plurality,
+    ProfileModel,
     classify,
     dominant_manipulation_of_infoset,
     hypercube,
@@ -183,3 +184,33 @@ def test_hypercube_kills_knowledge_of_manipulation():
             assert classify(kp, rule, i).kind not in (
                 "knows_de_re", "knows_de_dicto"
             )
+
+
+def test_classify_reads_the_considered_profiles_once(monkeypatch):
+    """One profiles_of call per classify, and the same report as the parts."""
+    m = hypercube(Election(("a", "b", "c"), 3), tiebreak=pref("b>a>c"))
+    rule = Plurality(pref("b>a>c"))
+    calls = []
+    real = ProfileModel.profiles_of
+
+    def counted(self, block):
+        calls.append(block)
+        return real(self, block)
+
+    reports = {}
+    monkeypatch.setattr(ProfileModel, "profiles_of", counted)
+    for s in m.states[::37]:
+        for i in m.election.voters:
+            calls.clear()
+            reports[s, i] = classify(KnowledgeProfile(m, s), rule, i)
+            assert len(calls) == 1
+    monkeypatch.undo()
+    for (s, i), rep in reports.items():
+        kp = KnowledgeProfile(m, s)
+        orders = m.election.orders()
+        assert rep.dominant_alts == tuple(
+            a for a in orders if dominant_manipulation_of_infoset(kp, rule, i, a))
+        assert rep.pessimistic_alts == tuple(
+            a for a in orders if pessimistic_manipulation(kp, rule, i, a))
+        assert rep.knows_de_re == knows_manipulation(kp, rule, i, "de_re")[0]
+        assert rep.knows_de_dicto == knows_manipulation(kp, rule, i, "de_dicto")[0]
