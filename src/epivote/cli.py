@@ -219,7 +219,7 @@ def cmd_manipulations(args) -> int:
         raise UnknownState("the model has no point; pass --point")
     F = rule_for(m)
     kp = m.pointed()
-    voters = [args.voter] if args.voter else list(m.election.voters)
+    voters = list(m.election.voters) if args.voter is None else [args.voter]
     for i in voters:
         rep = strategic.classify(kp, F, i)
         record = {

@@ -126,7 +126,11 @@ def check_preservation(
     """
     if property not in PROPERTIES:
         raise ValueError(f"unknown property {property!r}; choose from {PROPERTIES}")
-    upd = update(m, phi, F)
+    return _preservation(m, F, update(m, phi, F), property, voter, cp)
+
+
+def _preservation(m, F, upd: UpdateResult, property, voter, cp) -> PreservationReport:
+    """check_preservation after the update, so a hunt can reuse one update."""
     if property in _POINTED_PROPERTIES:
         if voter is None:
             raise ValueError(f"property {property!r} needs a voter")
@@ -297,12 +301,12 @@ def search_counterexample(
         m = random_model(rng, e, max_states, tiebreak=fixed_tiebreak)
         rule = F if F is not None else Plurality(m.tiebreak)
         phi = random_announcement(rng, m, keep_point=pointed)
-        kept = denotation(m, rule, phi)
-        if len(kept) == len(m.states):
+        upd = update(m, phi, rule)
+        if not upd.dropped:
             continue  # identity update, nothing can break
         if pointed:
             voter = rng.choice(list(e.voters))
-            rep = check_preservation(m, rule, phi, property, voter=voter)
+            rep = _preservation(m, rule, upd, property, voter, None)
             if rep.held_before and not rep.held_after:
                 return HuntResult(
                     property, True, attempt, seed, m, phi,
@@ -312,7 +316,7 @@ def search_counterexample(
             continue
         for _ in range(12):
             cp = random_conditional_profile(rng, m)
-            rep = check_preservation(m, rule, phi, property, cp=cp)
+            rep = _preservation(m, rule, upd, property, None, cp)
             if rep.held_before and not rep.held_after:
                 label = " / ".join(
                     strategy_label(row, by_top=False) for row in cp

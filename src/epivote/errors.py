@@ -67,7 +67,7 @@ class FormulaSyntaxError(EpivoteError):
 
 
 class UnknownVoter(EpivoteError):
-    """A formula refers to a voter outside the election."""
+    """A voter number outside 1..n, in a formula or in a model query."""
 
 
 class UnknownCandidate(EpivoteError):

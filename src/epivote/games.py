@@ -11,6 +11,9 @@ stays fixed. Deviations are judged against the induced votes of the profile
 under test, not against sincere votes; the sincere-baseline notions live in
 the strategic-analysis module and coincide with these on the sincere
 conditional profile.
+
+The classical game of one ballot profile is the game of a one-state model,
+where each voter's only information set is that state.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .model import (
     Profile,
     ProfileModel,
     Voter,
+    make_model,
 )
 from .rules import VotingRule, ballot_space
 
@@ -127,21 +131,6 @@ def payoff(
     """Worst-case rank of the winner over v's block, by v's true preference."""
     truth = m.profile_at(v.infoset[0]).pref(v.voter)
     return truth.rank_value(worst_winner(m, F, cp, v))
-
-
-def deviate(
-    m: ProfileModel,
-    cp: ConditionalProfile,
-    i: Voter,
-    block_index: int,
-    alt: Preference,
-) -> ConditionalProfile:
-    """cp with voter i's ballot on her block_index-th block swapped for alt."""
-    row = list(cp[i - 1])
-    row[block_index] = alt
-    out = list(cp)
-    out[i - 1] = tuple(row)
-    return tuple(out)
 
 
 class _Player(NamedTuple):
@@ -302,6 +291,39 @@ def enumerate_conditional_equilibria(
             else:
                 d += 1
     return out
+
+
+def _one_state(e: Election, truth: Profile) -> ProfileModel:
+    """The full-knowledge model: one state, labelled with truth."""
+    return make_model(e, ("s",), (truth,))
+
+
+def is_equilibrium_profile(
+    F: VotingRule, e: Election, votes: Profile, truth: Profile | None = None
+) -> bool:
+    """No voter can change her ballot and get an outcome she truly prefers.
+
+    With truth omitted the votes serve as the true preferences as well (the
+    sincere profile checked against itself); pass truth to score an arbitrary
+    ballot profile against fixed real preferences. All m! ballots are tried.
+    """
+    m = _one_state(e, votes if truth is None else truth)
+    return is_conditional_equilibrium(m, F, tuple((b,) for b in votes.prefs))[0]
+
+
+def enumerate_equilibria(
+    F: VotingRule, e: Election, truth: Profile, by_top: bool = False,
+    max_profiles: int = DEFAULT_MAX_STATES,
+) -> list[Profile]:
+    """All ballot profiles that are equilibria against the given truth.
+
+    Profiles are drawn from ballot_space(e, by_top), the later voter cycling
+    fastest; deviations to all m! ballots are tried. The by-top space is
+    sound only for rules that read nothing but the top choices.
+    """
+    m = _one_state(e, truth)
+    cps = enumerate_conditional_equilibria(m, F, by_top, max_profiles)
+    return [Profile(tuple(row[0] for row in cp)) for cp in cps]
 
 
 def strategy_label(choices: tuple[Preference, ...], by_top: bool = True) -> str:

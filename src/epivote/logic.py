@@ -43,7 +43,7 @@ from .errors import (
     UnknownCandidate,
     UnknownVoter,
 )
-from .games import ConditionalProfile, VirtualVoter, deviate, worst_winner
+from .games import ConditionalProfile, induced_votes
 from .model import (
     DEFAULT_MAX_STATES,
     Candidate,
@@ -875,12 +875,14 @@ def formula_conditional_equilibrium(
         body = []
         for vi, i in enumerate(e.voters):
             k, block = cell[vi]
-            vv = VirtualVoter(i, block)
-            base = worst_winner(m, F, cp, vv)
+            truth = m.profile_at(block[0]).pref(i)
+            votes = [induced_votes(m, cp, s) for s in block]
+            base = truth.worst_of(F.winner(e, v) for v in votes)
             for alt in alts:
                 if alt == cp[vi][k]:
                     continue
-                dev = worst_winner(m, F, deviate(m, cp, i, k, alt), vv)
+                dev = truth.worst_of(
+                    F.winner(e, v.replace(i, alt)) for v in votes)
                 body.append(Not(CompAtom(i, dev, base)))
         conjuncts.append(Implies(guard, big_and(body)))
     return big_and(conjuncts)

@@ -10,6 +10,8 @@ preference, so within any block of voter i the i-th preference is constant;
 from __future__ import annotations
 
 import itertools
+import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,6 +22,7 @@ from .errors import (
     PartitionError,
     SizeLimit,
     UnknownState,
+    UnknownVoter,
 )
 
 Candidate = str
@@ -30,6 +33,17 @@ Voter = int
 InformationSet = tuple[str, ...]
 
 DEFAULT_MAX_STATES = 10**6
+
+# A candidate name is a word of the formula language (reserved words pass),
+# so every model can be written out and read back.
+_CANDIDATE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def check_candidate_names(candidates) -> None:
+    """Raise ValueError for the first name that is not a formula identifier."""
+    for c in candidates:
+        if not _CANDIDATE_NAME.fullmatch(c):
+            raise ValueError(f"candidate name {c!r} is not an identifier")
 
 
 @dataclass(frozen=True)
@@ -42,6 +56,7 @@ class Election:
     def __post_init__(self):
         if not self.candidates:
             raise EmptySet("an election needs at least one candidate")
+        check_candidate_names(self.candidates)
         if len(set(self.candidates)) != len(self.candidates):
             raise ValueError("duplicate candidate names")
         if self.num_voters < 1:
@@ -51,13 +66,18 @@ class Election:
     def voters(self) -> range:
         return range(1, self.num_voters + 1)
 
-    def orders(self) -> list["Preference"]:
+    def orders(self) -> tuple["Preference", ...]:
         """All linear orders over the candidates, in permutation order."""
-        return [Preference(p) for p in itertools.permutations(self.candidates)]
+        return self._orders
+
+    @cached_property
+    def _orders(self) -> tuple["Preference", ...]:
+        return tuple(
+            Preference(p) for p in itertools.permutations(self.candidates))
 
     def all_profiles(self, max_profiles: int = DEFAULT_MAX_STATES) -> list["Profile"]:
         """Every assignment of a linear order to each voter: (m!)^n profiles."""
-        total = _factorial(len(self.candidates)) ** self.num_voters
+        total = math.factorial(len(self.candidates)) ** self.num_voters
         if total > max_profiles:
             raise SizeLimit(
                 f"{total} profiles exceed the cap of {max_profiles}"
@@ -67,13 +87,6 @@ class Election:
             Profile(combo)
             for combo in itertools.product(orders, repeat=self.num_voters)
         ]
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 @dataclass(frozen=True)
@@ -154,6 +167,8 @@ class ProfileModel:
     Every state lookup reads one index, built on first use and not part of
     equality: a state -> position dict, and per voter a tuple aligned with
     ``states`` holding the number of the block that contains each state.
+    The per-voter tables are keyed by voter number, so a voter outside 1..n
+    raises UnknownVoter.
     ``block_ids(i)[k]`` is the position in ``blocks(i)`` of the block holding
     ``states[k]``, or -1 when no block covers it. Only models that
     ``validate_model`` rejects have -1 entries or overlapping blocks (where
@@ -175,17 +190,21 @@ class ProfileModel:
         return pos
 
     @cached_property
-    def _block_ids(self) -> tuple[tuple[int, ...], ...]:
+    def _blocks(self) -> dict[Voter, tuple[InformationSet, ...]]:
+        return dict(zip(self.election.voters, self.partitions))
+
+    @cached_property
+    def _block_ids(self) -> dict[Voter, tuple[int, ...]]:
         pos = self._positions
-        table = []
-        for blocks in self.partitions:
+        table = {}
+        for voter, blocks in self._blocks.items():
             row = [-1] * len(self.states)
             for k, block in enumerate(blocks):
                 for s in block:
                     if s in pos and row[pos[s]] < 0:
                         row[pos[s]] = k
-            table.append(tuple(row))
-        return tuple(table)
+            table[voter] = tuple(row)
+        return table
 
     def index(self, state: str) -> int:
         try:
@@ -197,11 +216,20 @@ class ProfileModel:
         return self.profiles[self.index(state)]
 
     def blocks(self, voter: Voter) -> tuple[InformationSet, ...]:
-        return self.partitions[voter - 1]
+        try:
+            return self._blocks[voter]
+        except KeyError:
+            raise self._unknown(voter) from None
 
     def block_ids(self, voter: Voter) -> tuple[int, ...]:
         """Per state (in ``states`` order), voter's block number or -1."""
-        return self._block_ids[voter - 1]
+        try:
+            return self._block_ids[voter]
+        except KeyError:
+            raise self._unknown(voter) from None
+
+    def _unknown(self, voter) -> UnknownVoter:
+        return UnknownVoter(f"no voter {voter} in 1..{self.election.num_voters}")
 
     def block_of(self, voter: Voter, state: str) -> InformationSet:
         k = self.block_ids(voter)[self.index(state)]

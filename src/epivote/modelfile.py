@@ -24,6 +24,7 @@ from .model import (
     Preference,
     Profile,
     ProfileModel,
+    check_candidate_names,
     make_model,
     validate_model,
 )
@@ -60,6 +61,10 @@ def parse_model(text: str, validate: bool = True) -> ProfileModel:
                 raise ModelSyntaxError(lineno, "no candidates listed")
             if len(set(candidates)) != len(candidates):
                 raise ModelSyntaxError(lineno, "candidate listed twice")
+            try:
+                check_candidate_names(candidates)
+            except ValueError as exc:
+                raise ModelSyntaxError(lineno, str(exc)) from None
         elif keyword == "voters":
             if num_voters is not None:
                 raise ModelSyntaxError(lineno, "duplicate voters line")

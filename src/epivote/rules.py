@@ -1,9 +1,11 @@
-"""Voting rules and the classical (single-profile) strategic notions.
+"""Voting rules and the classical (single-profile) manipulation notions.
 
 Ships plurality with a mandatory tie-breaking order behind a small VotingRule
-protocol so other resolute rules can plug in. The strategic notions here take
-a single profile (or the full profile space); uncertainty lives in the
-strategic-analysis and conditional-games modules.
+protocol so other resolute rules can plug in. The manipulation and dominance
+notions here take a single profile (or the full profile space); uncertainty
+lives in the strategic-analysis and conditional-games modules. The classical
+equilibrium notions live in the conditional-games module, where the
+single-profile game is the game of a one-state model.
 """
 
 from __future__ import annotations
@@ -105,86 +107,20 @@ def dominant_preference(
     and against some combination of the others' ballots it is strictly
     better than voting truth.
     """
-    others = [v for v in e.voters if v != i]
-    total = len(e.orders()) ** e.num_voters
+    orders = e.orders()
+    total = len(orders) ** e.num_voters
     if total > max_profiles:
         raise SizeLimit(f"{total} profiles exceed the cap of {max_profiles}")
-    orders = e.orders()
     strict_somewhere = False
-    for combo in itertools.product(orders, repeat=len(others)):
-        assignment = dict(zip(others, combo))
-        with_alt = F.winner(e, _assemble(e, i, alt, assignment))
+    for others in itertools.product(orders, repeat=e.num_voters - 1):
+        sincere = Profile(others[:i - 1] + (truth,) + others[i - 1:])
+        with_alt = F.winner(e, sincere.replace(i, alt))
         for mine in orders:
-            base = F.winner(e, _assemble(e, i, mine, assignment))
-            if truth.prefers(base, with_alt):
+            if truth.prefers(F.winner(e, sincere.replace(i, mine)), with_alt):
                 return False
-        sincere = F.winner(e, _assemble(e, i, truth, assignment))
-        if truth.prefers(with_alt, sincere):
+        if truth.prefers(with_alt, F.winner(e, sincere)):
             strict_somewhere = True
     return strict_somewhere
-
-
-def _assemble(e: Election, i: Voter, mine: Preference, others: dict[Voter, Preference]) -> Profile:
-    prefs = []
-    for v in e.voters:
-        prefs.append(mine if v == i else others[v])
-    return Profile(tuple(prefs))
-
-
-def is_equilibrium_profile(
-    F: VotingRule, e: Election, votes: Profile, truth: Profile | None = None
-) -> bool:
-    """No voter can change her ballot and get an outcome she truly prefers.
-
-    With truth omitted the votes serve as the true preferences as well (the
-    sincere profile checked against itself); pass truth to score an arbitrary
-    ballot profile against fixed real preferences.
-    """
-    if truth is None:
-        truth = votes
-    current = F.winner(e, votes)
-    for i in e.voters:
-        mine = truth.pref(i)
-        for alt in e.orders():
-            if mine.prefers(F.winner(e, votes.replace(i, alt)), current):
-                return False
-    return True
-
-
-def enumerate_equilibria(
-    F: VotingRule,
-    e: Election,
-    truth: Profile,
-    by_top: bool = False,
-    max_profiles: int = DEFAULT_MAX_STATES,
-) -> list[Profile]:
-    """All ballot profiles that are equilibria against the given truth.
-
-    by_top quotients ballots by their top choice (one canonical order per
-    top: the top followed by the other candidates in election order). Only
-    meaningful for rules whose outcome depends just on top choices, which
-    plurality satisfies.
-    """
-    ballots = ballot_space(e, by_top)
-    total = len(ballots) ** e.num_voters
-    if total > max_profiles:
-        raise SizeLimit(f"{total} ballot profiles exceed the cap of {max_profiles}")
-    out = []
-    for combo in itertools.product(ballots, repeat=e.num_voters):
-        votes = Profile(combo)
-        if _equilibrium_within(F, e, votes, truth, ballots):
-            out.append(votes)
-    return out
-
-
-def _equilibrium_within(F, e, votes, truth, ballots) -> bool:
-    current = F.winner(e, votes)
-    for i in e.voters:
-        mine = truth.pref(i)
-        for alt in ballots:
-            if mine.prefers(F.winner(e, votes.replace(i, alt)), current):
-                return False
-    return True
 
 
 def ballot_space(e: Election, by_top: bool) -> list[Preference]:
@@ -195,10 +131,8 @@ def ballot_space(e: Election, by_top: bool) -> list[Preference]:
     nothing but the top choices, as plurality does.
     """
     if by_top:
-        return [_top_order(e, c) for c in e.candidates]
+        return [
+            Preference((top,) + tuple(c for c in e.candidates if c != top))
+            for top in e.candidates
+        ]
     return list(e.orders())
-
-
-def _top_order(e: Election, top: Candidate) -> Preference:
-    rest = tuple(c for c in e.candidates if c != top)
-    return Preference((top,) + rest)

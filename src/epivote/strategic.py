@@ -42,8 +42,9 @@ def dominant_manipulation_of_infoset(
     everyone (including i) voting sincerely there, and for at least one
     considered profile it does strictly better.
     """
+    considered = _considered(kp, i)
     truth = kp.truth().pref(i)
-    return _dominant(kp.election, F, i, truth, _considered(kp, i), alt)
+    return _dominant(kp.election, F, i, truth, considered, alt)
 
 
 def pessimistic_manipulation(
@@ -54,12 +55,13 @@ def pessimistic_manipulation(
     Worst is taken with i's true preference over the outcomes of the
     considered profiles, others sincere in each.
     """
+    considered = _considered(kp, i)
     truth = kp.truth().pref(i)
-    return _pessimistic(kp.election, F, i, truth, _considered(kp, i), alt)
+    return _pessimistic(kp.election, F, i, truth, considered, alt)
 
 
 def _considered(kp: KnowledgeProfile, i: Voter) -> list[Profile]:
-    """The distinct profiles voter i considers possible at the point."""
+    """Distinct profiles i considers possible; UnknownVoter outside 1..n."""
     return kp.model.profiles_of(kp.information_set(i))
 
 
@@ -149,9 +151,9 @@ class ManipulationReport:
 def classify(kp: KnowledgeProfile, F: VotingRule, i: Voter) -> ManipulationReport:
     """Run every manipulation notion for voter i and label the strongest."""
     e = kp.election
+    considered = _considered(kp, i)
     actual = kp.truth()
     truth = actual.pref(i)
-    considered = _considered(kp, i)
     manipulation_alts = tuple(
         alt for alt in e.orders() if is_manipulation(F, e, actual, i, alt)
     )

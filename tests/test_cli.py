@@ -1,10 +1,16 @@
 """Command-line interface: verdict exit codes, text and record output."""
 
+import io
 import json
+import os
+import tempfile
+import traceback
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from epivote import load_model
+from epivote import PROPERTIES, load_model, parse_model
 from epivote.cli import main
 from conftest import fixture_path
 
@@ -291,3 +297,144 @@ def test_unknown_point_rejected(capsys):
                        "--formula", "true", "--point", "zz")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["manipulations", fixture_path("hidden-flip"), "--voter", "5"],
+    ["preserve", fixture_path("hidden-flip"), "-f", "true",
+     "--property", "knowledge_de_re", "--voter", "7"],
+    ["manipulations", fixture_path("hidden-flip"), "--voter", "-1"],
+    ["manipulations", fixture_path("hidden-flip"), "--voter", "0"],
+], ids=["manipulations-5", "preserve-7", "manipulations-minus-1",
+        "manipulations-0"])
+def test_voter_outside_the_election_is_an_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: no voter") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("names", ["a b,c", "a,,b", "x>y,z", "a;b,c"])
+def test_hypercube_rejects_unreadable_candidate_names(capsys, names):
+    code, out, err = run(capsys, "hypercube", "--voters", "1",
+                         "--candidates", names)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+# ------------------------------------------------- the exit-code contract
+
+SUBCOMMANDS = ["check", "equilibria", "manipulations", "update", "hypercube",
+               "reduce", "axioms", "preserve", "hunt"]
+OUT = "{out}"  # replaced by a path in a fresh temporary directory
+MODELS = st.sampled_from([fixture_path(f) for f in (
+    "hidden-flip", "known-aligned", "known-opposed", "mutual-doubt",
+    "nested-doubt")] + ["no-such-file.model"])
+STATES = st.sampled_from([None, "s", "t", "u", "zz"])
+FORMULAS = st.sampled_from([
+    "true", "wins a", "K1 wins b", "~K2 (wins a | wins c)",
+    "[1: a>b] K2 wins c", "pref 1(a>b>c) -> wins a",
+    "profile{1: a>b>c; 2: c>b>a}", "K3 true", "wins d", "1: a>", "((true",
+    "$", "",
+])
+VOTERS = st.integers(-1, 5)
+CANDIDATES = st.sampled_from(["a,b,c", "a,b", "a", "a b,c", "a,,b", "x>y,z",
+                              "a;b,c"])
+FORMAT = st.sampled_from(["text", "records"])
+PROFILES = st.sampled_from([None, "a>b>c;c>b>a", "a>b>c,b>a>c;c>b>a",
+                            "a>b,c>b>a;c>b>a", "a>b>c,x>y>z;c>b>a", "junk"])
+
+
+def _flag(name, value):
+    return [] if value is None else [name, str(value)]
+
+
+def _switch(name, on):
+    return [name] if on else []
+
+
+@st.composite
+def argvs(draw, cmd):
+    """argv for the subcommand cmd; OUT stands for a file to write."""
+    model, formula = draw(MODELS), draw(FORMULAS)
+    if cmd == "check":
+        tail = [model, "-f", formula, *_flag("--point", draw(STATES)),
+                *_switch("--all-states", draw(st.booleans()))]
+    elif cmd == "equilibria":
+        tail = [model, *_switch("--by-top", draw(st.booleans())),
+                *_switch("--matrix", draw(st.booleans()))]
+    elif cmd == "manipulations":
+        tail = [model, *_flag("--voter", draw(st.none() | VOTERS)),
+                *_flag("--point", draw(STATES))]
+    elif cmd == "update":
+        tail = [model, "-f", formula, *_flag("--point", draw(STATES)),
+                *_flag("-o", draw(st.sampled_from([None, OUT])))]
+    elif cmd == "hypercube":
+        # at most 3 voters: a 5-voter cube has 7,776 states to write and read
+        tail = ["--candidates", draw(CANDIDATES), "--voters",
+                str(draw(st.integers(-1, 3))),
+                *_flag("--tiebreak", draw(st.sampled_from(
+                    [None, "b>a>c", "b,a", "x>y"]))),
+                *_flag("-o", draw(st.sampled_from([None, OUT])))]
+    elif cmd == "reduce":
+        tail = ["-f", formula, *(["--model", model] if draw(st.booleans())
+                                 else ["--candidates", draw(CANDIDATES),
+                                       "--voters", str(draw(VOTERS))])]
+    elif cmd == "axioms":
+        tail = [model]
+    elif cmd == "preserve":
+        tail = [model, "-f", formula, "--property",
+                draw(st.sampled_from(PROPERTIES)),
+                *_flag("--voter", draw(st.none() | VOTERS)),
+                *_flag("--profile", draw(PROFILES)),
+                *_flag("--point", draw(STATES))]
+    else:
+        tail = ["--property", draw(st.sampled_from(PROPERTIES)),
+                "--seed", str(draw(st.integers(0, 3))),
+                "--budget", str(draw(st.integers(-1, 3))),
+                "--max-states", str(draw(st.integers(0, 4))),
+                "--candidates", draw(CANDIDATES), "--voters", str(draw(VOTERS))]
+    return [cmd, *tail, "--format", draw(FORMAT)]
+
+
+def run_in_process(argv):
+    """Exit code, stdout and stderr of main as the interpreter reports them."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+        except Exception:  # uncaught: a traceback and exit status 1
+            traceback.print_exc()
+            code = 1
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("cmd", SUBCOMMANDS)
+@settings(derandomize=True, deadline=None, max_examples=22)
+@given(data=st.data())
+def test_every_input_keeps_the_exit_code_contract(cmd, data):
+    """0, 1 or 2; no traceback; an error says why; records are JSON lines.
+
+    What hypercube and update write is read back, so no command leaves a
+    model file epivote itself rejects. 22 drawn argv per subcommand.
+    """
+    argv = data.draw(argvs(cmd), label="argv")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.model")
+        argv = [path if a == OUT else a for a in argv]
+        code, out, err = run_in_process(argv)
+        assert code in (0, 1, 2), (argv, code, err)
+        assert "Traceback" not in err, (argv, err)
+        if code == 2:
+            assert err.strip(), argv
+        if argv[-1] == "records":
+            for line in out.splitlines():
+                json.loads(line)
+        if code == 0 and argv[0] in ("hypercube", "update"):
+            if os.path.exists(path):
+                load_model(path)
+            elif argv[-1] == "text":
+                parse_model(out)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from epivote import dynamics
 from epivote import (
     EmptyResult,
     MissingTiebreak,
@@ -186,6 +187,25 @@ def test_hunting_knowledge_exhausts_its_budget():
     assert hit.tries == 120
     assert hit.model is None
     assert "exhausted" in hit.detail
+
+
+@pytest.mark.parametrize("prop", PROPERTIES)
+def test_hunts_update_once_per_attempt(monkeypatch, prop):
+    """One update, so one denotation, per attempt, however many profiles."""
+    before = search_counterexample(prop, F=F, seed=4, budget=50)
+    calls = {"update": 0, "denotation": 0}
+    for name in calls:
+        real = getattr(dynamics, name)
+
+        def counted(*args, name=name, real=real, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, name, counted)
+    hit = search_counterexample(prop, F=F, seed=4, budget=50)
+    assert calls == {"update": hit.tries, "denotation": hit.tries}
+    assert (hit.found, hit.tries, hit.detail) == (
+        before.found, before.tries, before.detail)
 
 
 def test_unknown_property_rejected(hidden_flip):

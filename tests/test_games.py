@@ -16,11 +16,15 @@ from epivote import (
     Election,
     Plurality,
     SizeLimit,
+    Preference,
+    Profile,
     conditional_profile,
     enumerate_conditional_equilibria,
+    enumerate_equilibria,
     induced_votes,
     induced_winners,
     is_conditional_equilibrium,
+    is_equilibrium_profile,
     make_model,
     payoff,
     payoff_matrix,
@@ -222,6 +226,54 @@ def test_singleton_partitions_reduce_to_profile_equilibria():
     cond_tops = {(cp[0][0].top, cp[1][0].top) for cp in cond}
     flat_tops = {tuple(q.tops()) for q in flat}
     assert cond_tops == flat_tops
+
+
+def test_classical_equilibria_match_brute_force():
+    """The one-state game against a product of ballots and a full scan.
+
+    Written without the library's ballot spaces or search: every ballot
+    profile of the space, every voter, every one of the m! ballots.
+    """
+    abc = ("a", "b", "c")
+
+    def space(e, by_top):
+        if by_top:
+            return [Preference((c,) + tuple(d for d in e.candidates if d != c))
+                    for c in e.candidates]
+        return [Preference(o) for o in itertools.permutations(e.candidates)]
+
+    def stable(rule, e, votes, truth):
+        won = rule.winner(e, votes)
+        return not any(
+            truth.pref(i).prefers(
+                rule.winner(e, votes.replace(i, Preference(o))), won)
+            for i in e.voters
+            for o in itertools.permutations(e.candidates)
+        )
+
+    cases = [(Election(abc, 2), (True, False)), (Election(abc, 3), (True,))]
+    for e, spaces in cases:
+        for tiebreak in (pref("a>b>c"), pref("c>a>b")):
+            rule = Plurality(tiebreak)
+            for truth in e.all_profiles():
+                for by_top in spaces:
+                    expected = [
+                        Profile(combo)
+                        for combo in itertools.product(
+                            space(e, by_top), repeat=e.num_voters)
+                        if stable(rule, e, Profile(combo), truth)
+                    ]
+                    assert enumerate_equilibria(
+                        rule, e, truth, by_top=by_top) == expected
+    e = Election(abc, 2)
+    for tiebreak in (pref("a>b>c"), pref("c>a>b")):
+        rule = Plurality(tiebreak)
+        for votes in e.all_profiles():
+            assert is_equilibrium_profile(rule, e, votes) == stable(
+                rule, e, votes, votes)
+            for truth in e.all_profiles():
+                assert is_equilibrium_profile(rule, e, votes, truth) == stable(
+                    rule, e, votes, truth)
 
 
 def test_brute_force_oracle_agreement():

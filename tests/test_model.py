@@ -1,5 +1,6 @@
 """Core model layer: elections, preferences, profiles, S5 structure."""
 
+import itertools
 import random
 
 import pytest
@@ -15,6 +16,9 @@ from epivote import (
     Preference,
     SizeLimit,
     UnknownState,
+    UnknownVoter,
+    classify,
+    dominant_manipulation_of_infoset,
     enumerate_conditional_equilibria,
     hypercube,
     induced_votes,
@@ -22,6 +26,7 @@ from epivote import (
     is_conditional_equilibrium,
     load_model,
     make_model,
+    pessimistic_manipulation,
     pref,
     profile,
     random_conditional_profile,
@@ -68,6 +73,25 @@ def test_orders_follow_candidate_file_order():
     assert orders[0] == pref("a>b>c")
     # first by first candidate, then second, mirroring itertools.permutations
     assert orders[-1] == pref("c>b>a")
+    # built once per election; equality and hashing still see only the fields
+    assert ABC.orders() is ABC.orders()
+    assert orders == tuple(
+        Preference(p) for p in itertools.permutations(ABC.candidates))
+    assert Election(("a", "b", "c"), 2) == ABC
+    assert hash(Election(("a", "b", "c"), 2)) == hash(ABC)
+
+
+@pytest.mark.parametrize("names", [
+    ("a b", "c"), ("a", "", "b"), ("x>y", "z"), ("a;b", "c"), ("1a", "b"),
+    ("a-b", "c"), ("{a}", "b"),
+])
+def test_candidate_names_are_formula_identifiers(names):
+    with pytest.raises(ValueError, match="not an identifier"):
+        Election(names, 1)
+
+
+def test_identifier_candidate_names_are_accepted():
+    assert Election(("_x", "B2", "long_name"), 1).candidates[2] == "long_name"
 
 
 def test_all_profiles_count_and_cap():
@@ -238,6 +262,24 @@ def test_lookup_on_unvalidated_partitions():
                              partitions={1: [["s", "t"], ["t"]]})
     assert overlapping.block_ids(1) == (0, 0)
     assert overlapping.block_of(1, "t") == ("s", "t")
+
+
+@pytest.mark.parametrize("voter", [0, -1, 3, 7])
+def test_voter_outside_the_election_is_unknown(hidden_flip, voter):
+    # negative and zero numbers used to index voters from the end
+    rule = Plurality(hidden_flip.tiebreak)
+    for call in (lambda: hidden_flip.blocks(voter),
+                 lambda: hidden_flip.block_ids(voter),
+                 lambda: hidden_flip.block_of(voter, "t"),
+                 lambda: hidden_flip.pointed().information_set(voter),
+                 lambda: classify(hidden_flip.pointed(), rule, voter),
+                 lambda: dominant_manipulation_of_infoset(
+                     hidden_flip.pointed(), rule, voter, pref("a>b>c")),
+                 lambda: pessimistic_manipulation(
+                     hidden_flip.pointed(), rule, voter, pref("a>b>c"))):
+        with pytest.raises(UnknownVoter, match=f"no voter {voter}"):
+            call()
+    assert hidden_flip.blocks(2) == (("t", "u"),)
 
 
 def test_profiles_of_collapses_duplicates(nested_doubt):
