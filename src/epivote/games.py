@@ -35,7 +35,7 @@ from .model import (
     Voter,
     make_model,
 )
-from .rules import VotingRule, ballot_space
+from .rules import VotingRule, _key_of, ballot_classes, ballot_space
 
 # cp[i-1][k] is the ballot voter i casts on her k-th block (model block order).
 ConditionalProfile = tuple[tuple[Preference, ...], ...]
@@ -85,6 +85,7 @@ def conditional_profile(m: ProfileModel, choices) -> ConditionalProfile:
 
 def induced_votes(m: ProfileModel, cp: ConditionalProfile, state: str) -> Profile:
     """The ballot each voter actually casts if the state is `state`."""
+    _check_shape(m, cp)
     ks = _blocks_at(m, m.index(state))
     return Profile(tuple(row[k] for row, k in zip(cp, ks)))
 
@@ -93,6 +94,7 @@ def induced_winners(
     m: ProfileModel, F: VotingRule, cp: ConditionalProfile
 ) -> tuple[Candidate, ...]:
     """Winner per state, states in file order."""
+    _check_shape(m, cp)
     e = m.election
     return tuple(
         F.winner(e, Profile(tuple(
@@ -100,6 +102,18 @@ def induced_winners(
         )))
         for si in range(len(m.states))
     )
+
+
+def _check_shape(m: ProfileModel, cp: ConditionalProfile) -> None:
+    """Raise ValueError unless cp has one row per voter, one ballot per block."""
+    if len(cp) != m.election.num_voters:
+        raise ValueError(
+            f"expected {m.election.num_voters} voter rows, got {len(cp)}")
+    for i, row in zip(m.election.voters, cp):
+        if len(row) != len(m.blocks(i)):
+            raise ValueError(
+                f"voter {i} has {len(m.blocks(i))} information sets, "
+                f"got {len(row)} ballots")
 
 
 def _blocks_at(m: ProfileModel, si: int) -> tuple[int, ...]:
@@ -137,15 +151,16 @@ class _Player(NamedTuple):
     """A virtual voter as the equilibrium check sees her.
 
     Ballots sit in slots, one per virtual voter in virtual_voters order, so
-    slot order is the flattened conditional profile. ``rows`` gives, per
-    state of her block, the slot of each voter's ballot there. Her payoff and
-    her deviations read those slots and her own, nothing else.
+    slot order is the flattened conditional profile. ``rank`` maps each
+    candidate to its rank_value under her true preference. ``rows`` gives,
+    per state of her block, the slot of each voter's ballot there. Her payoff
+    and her deviations read those slots and her own, nothing else.
     """
 
     voter: Voter
     block: InformationSet
     slot: int
-    truth: Preference
+    rank: dict[Candidate, int]
     rows: tuple[tuple[int, ...], ...]
 
 
@@ -168,42 +183,61 @@ def _players(m: ProfileModel) -> Iterator[_Player]:
     ]
     for i in m.election.voters:
         for k, block in enumerate(m.blocks(i)):
+            truth = m.profile_at(block[0]).pref(i)
             yield _Player(
                 i, block, first_slot[i - 1] + k,
-                m.profile_at(block[0]).pref(i),
+                {c: truth.rank_value(c) for c in truth.order},
                 tuple(at[m.index(s)] for s in block),
             )
 
 
-def _first_improvement(
-    e: Election,
-    F: VotingRule,
-    p: _Player,
-    ballots: list,
-    alts: list[Preference],
-) -> Preference | None:
-    """The first ballot in alts that raises p's worst-case rank, or None.
+def _keyed(e: Election, F: VotingRule):
+    """F's ballot key, its ballot classes over e.orders(), and a winner memo.
 
-    ``ballots`` holds one ballot per slot and is read only at p's own slot
-    and at the slots in p.rows. A change of p's ballot only shifts winners
-    at states inside her block, so only those states are recomputed.
+    ``winner(keys)`` is F's winner when the i-th voter casts a ballot with
+    the i-th key. It votes the first ballot of each key's class and is
+    memoised on the key tuple, so one search builds each Profile once.
     """
-    truth, vi = p.truth, p.voter - 1
-    base = [tuple(ballots[j] for j in row) for row in p.rows]
-    here = min(truth.rank_value(F.winner(e, Profile(votes))) for votes in base)
-    if here == len(e.candidates) - 1:
+    classes = ballot_classes(F, e.orders())
+    first = dict(classes)
+    memo: dict[tuple, Candidate] = {}
+
+    def winner(keys: tuple) -> Candidate:
+        won = memo.get(keys)
+        if won is None:
+            won = memo[keys] = F.winner(
+                e, Profile(tuple(first[k] for k in keys)))
+        return won
+
+    return _key_of(F), classes, winner
+
+
+def _first_improvement(
+    p: _Player, keys: list, classes: list[tuple], winner
+) -> Preference | None:
+    """The first ballot in e.orders() that raises p's worst-case rank, or None.
+
+    ``keys`` holds the ballot key of each slot and is read only at p's own
+    slot and at the slots in p.rows. Ballots with equal keys yield the same
+    winners, so one ballot per class of ``classes`` (from _keyed) is tried,
+    skipping the class of her own ballot, whose ballots change nothing. A
+    class's first ballot comes before its others, so the ballot returned is
+    the first improving one in e.orders(). A change of p's ballot only
+    shifts winners at states inside her block, so only those are recomputed.
+    """
+    rank, vi = p.rank, p.voter - 1
+    base = [tuple(map(keys.__getitem__, row)) for row in p.rows]
+    here = min(rank[winner(ks)] for ks in base)
+    if here == len(rank) - 1:
         return None  # already gets her top everywhere, nothing beats it
-    own = ballots[p.slot]
-    for alt in alts:
-        if alt == own:
+    own = keys[p.slot]
+    for k, alt in classes:
+        if k == own:
             continue
-        worst = len(e.candidates)
-        for votes in base:
-            dev = Profile(votes[:vi] + (alt,) + votes[vi + 1:])
-            worst = min(worst, truth.rank_value(F.winner(e, dev)))
-            if worst <= here:
+        for ks in base:
+            if rank[winner(ks[:vi] + (k,) + ks[vi + 1:])] <= here:
                 break
-        if worst > here:
+        else:
             return alt
     return None
 
@@ -214,13 +248,17 @@ def is_conditional_equilibrium(
     """No virtual voter can raise her worst-case rank by a unilateral change.
 
     Returns (True, None) or (False, (virtual voter, better ballot)) with the
-    first improving deviation in enumeration order. All m! ballots are tried.
+    first improving deviation in enumeration order: virtual voters in
+    virtual_voters order, ballots in e.orders() order. One ballot is tried
+    per class the rule tells apart (see ballot_classes); the witness is the
+    same as if all m! ballots were tried. Raises ValueError when cp does not
+    have one row per voter and one ballot per information set.
     """
-    e = m.election
-    ballots = [b for row in cp for b in row]
-    alts = e.orders()
+    _check_shape(m, cp)
+    key, classes, winner = _keyed(m.election, F)
+    keys = [key(b) for row in cp for b in row]
     for p in _players(m):
-        alt = _first_improvement(e, F, p, ballots, alts)
+        alt = _first_improvement(p, keys, classes, winner)
         if alt is not None:
             return False, (VirtualVoter(p.voter, p.block), alt)
     return True, None
@@ -242,10 +280,11 @@ def enumerate_conditional_equilibria(
     the order above with no sorting. A virtual voter's payoff reads only the
     ballots of the blocks that meet her own block (her scope), so she is
     checked as soon as the last slot of her scope is assigned, and the branch
-    is cut if she has an improving ballot. Her verdict is memoised on her
-    scope's ballots for the length of the call. Raises SizeLimit, before any
-    search, when the full product of conditional profiles exceeds
-    max_profiles.
+    is cut if she has an improving ballot. Her verdict is memoised on the
+    ballot keys of her scope for the length of the call. Deviations try one
+    ballot per class the rule tells apart (see is_conditional_equilibrium).
+    Raises SizeLimit, before any search, when the full product of
+    conditional profiles exceeds max_profiles.
     """
     e = m.election
     space = ballot_space(e, by_top)
@@ -261,12 +300,11 @@ def enumerate_conditional_equilibria(
     for p in _players(m):
         scope = sorted({p.slot}.union(*p.rows))
         due[scope[-1]].append((p, itemgetter(*scope), {}))
-    alts = e.orders()
+    key, classes, winner = _keyed(e, F)
+    space_keys = [key(b) for b in space]
     ballots: list = [None] * n
-    # Per slot, how many ballots of space have been tried. At an assigned slot
-    # that is one past its ballot's position, so the memo keys on these ints
-    # rather than hashing ballots.
-    tried = [0] * n
+    keys: list = [None] * n
+    tried = [0] * n  # per slot, how many ballots of space have been tried
     out = []
     d = 0  # slots before d are assigned and every player due by then is stable
     while d >= 0:
@@ -278,13 +316,14 @@ def enumerate_conditional_equilibria(
             d -= 1
         else:
             ballots[d] = space[tried[d]]
+            keys[d] = space_keys[tried[d]]
             tried[d] += 1
             for p, scope_of, memo in due[d]:
-                key = scope_of(tried)
-                stable = memo.get(key)
+                scope_keys = scope_of(keys)
+                stable = memo.get(scope_keys)
                 if stable is None:
-                    stable = memo[key] = (
-                        _first_improvement(e, F, p, ballots, alts) is None
+                    stable = memo[scope_keys] = (
+                        _first_improvement(p, keys, classes, winner) is None
                     )
                 if not stable:
                     break
@@ -305,7 +344,8 @@ def is_equilibrium_profile(
 
     With truth omitted the votes serve as the true preferences as well (the
     sincere profile checked against itself); pass truth to score an arbitrary
-    ballot profile against fixed real preferences. All m! ballots are tried.
+    ballot profile against fixed real preferences. Deviations try one ballot
+    per class the rule tells apart, which decides as all m! ballots would.
     """
     m = _one_state(e, votes if truth is None else truth)
     return is_conditional_equilibrium(m, F, tuple((b,) for b in votes.prefs))[0]
@@ -318,8 +358,9 @@ def enumerate_equilibria(
     """All ballot profiles that are equilibria against the given truth.
 
     Profiles are drawn from ballot_space(e, by_top), the later voter cycling
-    fastest; deviations to all m! ballots are tried. The by-top space is
-    sound only for rules that read nothing but the top choices.
+    fastest; deviations try one ballot per class the rule tells apart, with
+    the verdicts of all m! ballots. The by-top space is sound only for rules
+    that read nothing but the top choices.
     """
     m = _one_state(e, truth)
     cps = enumerate_conditional_equilibria(m, F, by_top, max_profiles)
@@ -386,7 +427,11 @@ def payoff_matrix(
     by_top: bool = True,
     max_profiles: int = DEFAULT_MAX_STATES,
 ) -> PayoffMatrix:
-    """Full winners/payoff grids with equilibrium flags, two voters only."""
+    """Full winners/payoff grids with equilibrium flags, two voters only.
+
+    Each cell's winners are read from the ballot keys of its row and column
+    through one winner memo (see _keyed), one per state.
+    """
     e = m.election
     if e.num_voters != 2:
         raise SizeLimit("matrix display needs exactly two voters")
@@ -398,15 +443,18 @@ def payoff_matrix(
             f"{len(rows) * len(cols)} cells exceed the cap of {max_profiles}"
         )
     equilibria = set(enumerate_conditional_equilibria(m, F, by_top, max_profiles))
+    key, _, winner = _keyed(e, F)
+    at = [_blocks_at(m, si) for si in range(len(m.states))]
+    col_keys = [[key(b) for b in c] for c in cols]
     winners, payoffs, stars = [], [], []
     for r in rows:
+        rk = [key(b) for b in r]
         wrow, prow, srow = [], [], []
-        for c in cols:
-            cp = (r, c)
-            won = induced_winners(m, F, cp)
+        for c, ck in zip(cols, col_keys):
+            won = tuple(winner((rk[k1], ck[k2])) for k1, k2 in at)
             wrow.append("".join(won))
             prow.append(_payoff_digits(m, won))
-            srow.append(cp in equilibria)
+            srow.append((r, c) in equilibria)
         winners.append(tuple(wrow))
         payoffs.append(tuple(prow))
         stars.append(tuple(srow))

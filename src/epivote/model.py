@@ -134,12 +134,27 @@ class Profile:
     prefs: tuple[Preference, ...]
 
     def pref(self, voter: Voter) -> Preference:
-        return self.prefs[voter - 1]
+        """Voter's ballot; UnknownVoter outside 1..len(prefs)."""
+        if voter < 1:
+            raise self._unknown(voter)
+        try:
+            return self.prefs[voter - 1]
+        except IndexError:
+            raise self._unknown(voter) from None
 
     def replace(self, voter: Voter, p: Preference) -> "Profile":
+        """The profile with voter's ballot swapped for p."""
+        if voter < 1:
+            raise self._unknown(voter)
         items = list(self.prefs)
-        items[voter - 1] = p
+        try:
+            items[voter - 1] = p
+        except IndexError:
+            raise self._unknown(voter) from None
         return Profile(tuple(items))
+
+    def _unknown(self, voter) -> UnknownVoter:
+        return UnknownVoter(f"no voter {voter} in 1..{len(self.prefs)}")
 
     def tops(self) -> tuple[Candidate, ...]:
         return tuple(p.top for p in self.prefs)

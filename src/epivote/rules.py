@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Protocol, runtime_checkable
 
-from .errors import MissingTiebreak, SizeLimit
+from .errors import MissingTiebreak, SizeLimit, UnknownVoter
 from .model import (
     DEFAULT_MAX_STATES,
     Candidate,
@@ -28,7 +28,14 @@ from .model import (
 
 @runtime_checkable
 class VotingRule(Protocol):
-    """A resolute social choice function over complete linear-order votes."""
+    """A resolute social choice function over complete linear-order votes.
+
+    A rule may also declare ``ballot_key(ballot)`` when its winner reads
+    nothing of a ballot but that key: ballots with equal keys are then
+    interchangeable, and the equilibrium engine tries one ballot per key
+    (see ballot_classes). A rule without it has every ballot in a class of
+    its own.
+    """
 
     name: str
 
@@ -67,6 +74,10 @@ class Plurality:
 
     def winner(self, e: Election, votes: Profile) -> Candidate:
         return plurality_winner(e, votes, self.tiebreak)
+
+    def ballot_key(self, ballot: Preference) -> Candidate:
+        """Plurality reads only the top of each ballot."""
+        return ballot.top
 
 
 def rule_for(m_or_tiebreak) -> Plurality:
@@ -107,6 +118,8 @@ def dominant_preference(
     and against some combination of the others' ballots it is strictly
     better than voting truth.
     """
+    if i not in e.voters:
+        raise UnknownVoter(f"no voter {i} in 1..{e.num_voters}")
     orders = e.orders()
     total = len(orders) ** e.num_voters
     if total > max_profiles:
@@ -136,3 +149,21 @@ def ballot_space(e: Election, by_top: bool) -> list[Preference]:
             for top in e.candidates
         ]
     return list(e.orders())
+
+
+def ballot_classes(F: VotingRule, ballots) -> list[tuple[object, Preference]]:
+    """One (key, first ballot) pair per class of ballots F can tell apart.
+
+    Classes come in the order each first appears in ``ballots``. A rule
+    without ``ballot_key`` gets one class per ballot, keyed by the ballot.
+    """
+    key = _key_of(F)
+    first: dict = {}
+    for b in ballots:
+        first.setdefault(key(b), b)
+    return list(first.items())
+
+
+def _key_of(F: VotingRule):
+    """F's ballot_key, or the whole ballot for a rule that declares none."""
+    return getattr(F, "ballot_key", lambda ballot: ballot)

@@ -1,18 +1,22 @@
 import pathlib
 
 import pytest
+from hypothesis import strategies as st
 
 from epivote import (
     And,
     Announce,
     CompAtom,
+    Election,
     Know,
     Not,
     Plurality,
     PrefAtom,
+    Profile,
     ProfileAtom,
     WinsAtom,
     load_model,
+    make_model,
     pref,
 )
 
@@ -47,6 +51,44 @@ def random_formula(rng, e, depth=3):
     return Announce(
         random_formula(rng, e, depth - 1), random_formula(rng, e, depth - 1)
     )
+
+
+@st.composite
+def pointed_models(draw):
+    """Small valid pointed models for oracle tests.
+
+    2-3 voters, 3 candidates (sometimes 4), 1-4 states and a drawn tiebreak.
+    Each voter's preference at a state comes from a pool of one or two
+    orders, so information sets often hold several states. Each voter's
+    partition splits the states sharing one of her preferences into blocks
+    at random, so she always knows her own preference.
+    """
+    e = Election(("a", "b", "c", "d")[:draw(st.sampled_from((3, 3, 3, 4)))],
+                 draw(st.integers(2, 3)))
+    orders = st.sampled_from(e.orders())
+    pools = [draw(st.lists(orders, min_size=1, max_size=2)) for _ in e.voters]
+    states = [f"s{j}" for j in range(draw(st.sampled_from((1, 2, 3, 4))))]
+    profiles = [
+        Profile(tuple(draw(st.sampled_from(pool)) for pool in pools))
+        for _ in states
+    ]
+    partitions = {}
+    for i in e.voters:
+        groups: dict = {}
+        for s, p in zip(states, profiles):
+            groups.setdefault(p.pref(i), []).append(s)
+        blocks: list[list[str]] = []
+        for members in groups.values():
+            mine: list[list[str]] = []
+            for s in members:
+                j = draw(st.integers(0, len(mine)))
+                if j == len(mine):
+                    mine.append([])
+                mine[j].append(s)
+            blocks += mine
+        partitions[i] = blocks
+    return make_model(e, states, profiles, partitions,
+                      tiebreak=draw(orders), point=draw(st.sampled_from(states)))
 
 
 @pytest.fixture(scope="session")

@@ -357,3 +357,22 @@ def test_matrix_requires_two_voters():
     )
     with pytest.raises(SizeLimit):
         payoff_matrix(m, Plurality(pref("a>b")))
+
+
+_ABC, _ACB, _BAC = pref("a>b>c"), pref("a>c>b"), pref("b>a>c")
+
+
+@pytest.mark.parametrize("cp, message", [
+    (((_ABC,), (_ACB, _BAC)), "voter 1 has 2 information sets, got 1 ballots"),
+    (((_ABC, _ACB, _BAC), ()), "voter 1 has 2 information sets, got 3 ballots"),
+    (((_ABC, _ACB),), "expected 2 voter rows, got 1"),
+])
+def test_conditional_profile_shape_is_checked(hidden_flip, cp, message):
+    # voter 1 has two blocks and voter 2 one; flattening these profiles
+    # shifted the slots silently, so the check returned (True, None)
+    rule = Plurality(hidden_flip.tiebreak)
+    for call in (lambda: is_conditional_equilibrium(hidden_flip, rule, cp),
+                 lambda: induced_votes(hidden_flip, cp, "t"),
+                 lambda: induced_winners(hidden_flip, rule, cp)):
+        with pytest.raises(ValueError, match=message):
+            call()

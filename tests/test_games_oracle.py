@@ -1,0 +1,142 @@
+"""The equilibrium engine against a full scan of every ballot.
+
+The engine tries one ballot per class the rule can tell apart and reads
+winners from a memo on ballot keys. The oracle below is the scan it
+replaced: for each virtual voter, every one of the m! ballots in
+``e.orders()`` order, a new Profile per deviation and a call of F.winner.
+Models come from the ``pointed_models`` strategy in conftest.
+"""
+
+import itertools
+from dataclasses import dataclass
+
+from hypothesis import given, settings, strategies as st
+
+from conftest import pointed_models
+from epivote import (
+    Plurality,
+    Preference,
+    enumerate_conditional_equilibria,
+    induced_votes,
+    is_conditional_equilibrium,
+    payoff_matrix,
+    validate_model,
+    virtual_voters,
+)
+from epivote.games import payoff_string, strategy_label, winners_string
+from epivote.rules import ballot_classes, ballot_space
+
+# Full products of conditional profiles beyond this are not enumerated.
+PRODUCT_CAP = 3 ** 8
+
+
+@dataclass(frozen=True)
+class Veto:
+    """Fewest last places wins, ties by tiebreak; declares no ballot key."""
+
+    tiebreak: Preference
+
+    name = "veto"
+
+    def winner(self, e, votes):
+        vetoes = {c: 0 for c in e.candidates}
+        for ballot in votes.prefs:
+            vetoes[ballot.order[-1]] += 1
+        fewest = min(vetoes.values())
+        return min((c for c in e.candidates if vetoes[c] == fewest),
+                   key=self.tiebreak.order.index)
+
+
+def first_improvement(m, F, cp, vv):
+    """The first of all m! ballots that raises vv's worst-case rank."""
+    e, i = m.election, vv.voter
+    truth = m.profile_at(vv.infoset[0]).pref(i)
+    base = [induced_votes(m, cp, s) for s in vv.infoset]
+    here = min(truth.rank_value(F.winner(e, votes)) for votes in base)
+    own = cp[i - 1][m.blocks(i).index(vv.infoset)]
+    for alt in e.orders():
+        if alt == own:
+            continue
+        worst = min(truth.rank_value(F.winner(e, votes.replace(i, alt)))
+                    for votes in base)
+        if worst > here:
+            return alt
+    return None
+
+
+def oracle_verdict(m, F, cp):
+    for vv in virtual_voters(m):
+        alt = first_improvement(m, F, cp, vv)
+        if alt is not None:
+            return False, (vv, alt)
+    return True, None
+
+
+def strategies(m, space):
+    """Per voter, every assignment of a ballot of space to her blocks."""
+    return [list(itertools.product(space, repeat=len(m.blocks(i))))
+            for i in m.election.voters]
+
+
+def oracle_equilibria(m, F, space):
+    return [cp for cp in itertools.product(*strategies(m, space))
+            if oracle_verdict(m, F, cp)[0]]
+
+
+def product_size(m, space):
+    slots = sum(len(m.blocks(i)) for i in m.election.voters)
+    return len(space) ** slots
+
+
+def conditional_profiles(m):
+    """Draws conditional profiles of m with ballots from all m! orders."""
+    ballot = st.sampled_from(m.election.orders())
+    return st.tuples(*(
+        st.tuples(*(ballot for _ in m.blocks(i))) for i in m.election.voters))
+
+
+def check_against_oracle(data, m, F, by_tops):
+    validate_model(m)
+    for cp in data.draw(st.lists(conditional_profiles(m), min_size=1,
+                                 max_size=6)):
+        assert is_conditional_equilibrium(m, F, cp) == oracle_verdict(m, F, cp)
+    for by_top in by_tops:
+        space = ballot_space(m.election, by_top)
+        if product_size(m, space) > PRODUCT_CAP:
+            continue
+        expected = oracle_equilibria(m, F, space)
+        assert enumerate_conditional_equilibria(m, F, by_top) == expected
+        if m.election.num_voters == 2:
+            rows, cols = strategies(m, space)
+            stars = set(expected)
+            mat = payoff_matrix(m, F, by_top)
+            assert mat.row_labels == tuple(
+                strategy_label(r, by_top) for r in rows)
+            assert mat.col_labels == tuple(
+                strategy_label(c, by_top) for c in cols)
+            assert mat.winners == tuple(
+                tuple(winners_string(m, F, (r, c)) for c in cols)
+                for r in rows)
+            assert mat.payoffs == tuple(
+                tuple(payoff_string(m, F, (r, c)) for c in cols)
+                for r in rows)
+            assert mat.equilibria == tuple(
+                tuple((r, c) in stars for c in cols) for r in rows)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(m=pointed_models(), data=st.data())
+def test_plurality_engine_matches_full_scan(m, data):
+    check_against_oracle(data, m, Plurality(m.tiebreak), (True, False))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(m=pointed_models(), data=st.data())
+def test_keyless_rule_engine_matches_full_scan(m, data):
+    check_against_oracle(data, m, Veto(m.tiebreak), (False,))
+
+
+def test_keyless_rule_has_one_class_per_ballot(hidden_flip):
+    orders = hidden_flip.election.orders()
+    assert ballot_classes(Veto(hidden_flip.tiebreak), orders) == [
+        (b, b) for b in orders]

@@ -6,6 +6,7 @@ from epivote import (
     Election,
     MissingTiebreak,
     Plurality,
+    UnknownVoter,
     dominant_preference,
     enumerate_equilibria,
     is_equilibrium_profile,
@@ -16,6 +17,7 @@ from epivote import (
     profile,
     rule_for,
 )
+from epivote.rules import ballot_classes, ballot_space
 
 E2 = Election(("a", "b", "c"), 2)
 E3 = Election(("a", "b", "c"), 3)
@@ -118,3 +120,24 @@ def test_winner_cache_consistency():
         plurality_winner(E2, profile("a>b>c", "c>b>a"), TIE)
         == plurality_winner(E2, profile("a>c>b", "c>a>b"), TIE)
     )
+
+
+@pytest.mark.parametrize("voter", [0, -1, 3])
+def test_voter_outside_the_profile_is_unknown(voter):
+    # 0 and -1 used to index voters from the end, 3 raised a bare IndexError
+    p = profile("a>b>c", "c>b>a")
+    for call in (lambda: is_manipulation(F, E2, p, voter, pref("b>c>a")),
+                 lambda: manipulations(F, E2, p, voter),
+                 lambda: dominant_preference(F, E2, voter, pref("a>b>c"),
+                                             pref("b>a>c")),
+                 lambda: p.pref(voter),
+                 lambda: p.replace(voter, pref("b>a>c"))):
+        with pytest.raises(UnknownVoter, match=f"no voter {voter} in 1..2"):
+            call()
+
+
+def test_plurality_classes_are_the_by_top_ballots():
+    for e in (E2, Election(("a", "b", "c", "d"), 2)):
+        classes = ballot_classes(F, e.orders())
+        assert [b for _, b in classes] == ballot_space(e, True)
+        assert [k for k, _ in classes] == list(e.candidates)
