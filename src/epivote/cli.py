@@ -172,12 +172,11 @@ def cmd_check(args) -> int:
     phi = logic.parse(args.formula, m.election)
     F = _rule(m)
     if args.all_states or m.point is None:
-        states = m.states
-        values = {s: logic.evaluate(m.at(s), F, phi) for s in states}
-        for s in states:
-            _emit(args, {"command": "check", "state": s, "value": values[s]},
-                  f"{s}: {'true' if values[s] else 'false'}")
-        return 0 if all(values.values()) else 1
+        holds = set(logic.denotation(m, F, phi))
+        for s in m.states:
+            _emit(args, {"command": "check", "state": s, "value": s in holds},
+                  f"{s}: {'true' if s in holds else 'false'}")
+        return 0 if len(holds) == len(m.states) else 1
     value = logic.evaluate(m.pointed(), F, phi)
     _emit(args, {"command": "check", "state": m.point, "value": value},
           "true" if value else "false")

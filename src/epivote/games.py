@@ -90,18 +90,20 @@ def induced_votes(m: ProfileModel, cp: ConditionalProfile, state: str) -> Profil
     return Profile(tuple(row[k] for row, k in zip(cp, ks)))
 
 
+def induced_profiles(m: ProfileModel, cp: ConditionalProfile) -> tuple[Profile, ...]:
+    """induced_votes at every state, states in file order, with one shape check."""
+    _check_shape(m, cp)
+    return tuple(
+        Profile(tuple(row[k] for row, k in zip(cp, _blocks_at(m, si))))
+        for si in range(len(m.states))
+    )
+
+
 def induced_winners(
     m: ProfileModel, F: VotingRule, cp: ConditionalProfile
 ) -> tuple[Candidate, ...]:
     """Winner per state, states in file order."""
-    _check_shape(m, cp)
-    e = m.election
-    return tuple(
-        F.winner(e, Profile(tuple(
-            row[k] for row, k in zip(cp, _blocks_at(m, si))
-        )))
-        for si in range(len(m.states))
-    )
+    return tuple(F.winner(m.election, v) for v in induced_profiles(m, cp))
 
 
 def _check_shape(m: ProfileModel, cp: ConditionalProfile) -> None:

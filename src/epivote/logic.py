@@ -23,9 +23,16 @@ Concrete syntax (whitespace-insensitive)::
              | "wins" ID
     order   := ID (">" ID)+               (complete ranking for profile/pref)
 
-"K", "true", "false", "profile", "pref", and "wins" are reserved words; an
-INT:order with a complete ranking is accepted as a pref atom. to_text is the
-inverse of parse up to sugar (parse(to_text(f)) == f for core-only f).
+"K", "true", "false", "profile", "pref", and "wins" are reserved words (no
+candidate may take one as a name); an INT:order with a complete ranking is
+accepted as a pref atom. to_text is the inverse of parse up to sugar
+(parse(to_text(f)) == f for core-only f).
+
+The checker evaluates state by state with a memo per evaluate/denotation
+call: each K_i subformula is decided once per block, and each announcement
+once per set of live states, which then filters the blocks below it; no
+restricted model is built. Its cost is polynomial in formula size and model
+size.
 """
 
 from __future__ import annotations
@@ -43,9 +50,10 @@ from .errors import (
     UnknownCandidate,
     UnknownVoter,
 )
-from .games import ConditionalProfile, induced_votes
+from .games import ConditionalProfile, induced_profiles
 from .model import (
     DEFAULT_MAX_STATES,
+    RESERVED_WORDS,
     Candidate,
     Election,
     InformationSet,
@@ -54,10 +62,9 @@ from .model import (
     Profile,
     ProfileModel,
     Voter,
-    restrict,
     validate_structure,
 )
-from .rules import VotingRule
+from .rules import VotingRule, _key_of, ballot_classes
 
 
 @dataclass(frozen=True)
@@ -160,7 +167,6 @@ def big_or(items) -> Formula:
 _TOKEN = re.compile(
     r"(<->|->|[~&|()\[\]{}:;>]|[A-Za-z_][A-Za-z0-9_]*|[0-9]+)"
 )
-_RESERVED = {"K", "true", "false", "profile", "pref", "wins"}
 
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
@@ -358,7 +364,7 @@ class _Parser:
             raise UnknownVoter(f"position {pos}: no voter {voter}")
 
     def _check_candidate(self, c: str, pos: int):
-        if c in _RESERVED:
+        if c in RESERVED_WORDS:
             raise FormulaSyntaxError(pos, f"{c!r} is a reserved word")
         if c not in self.e.candidates:
             raise UnknownCandidate(f"position {pos}: no candidate {c!r}")
@@ -477,7 +483,8 @@ def evaluate(kp: KnowledgeProfile, F: VotingRule | None, phi: Formula) -> bool:
     state makes the whole announcement formula true.
     """
     check_formula(phi, kp.election)
-    return _eval(kp.model, kp.point, F, phi)
+    m = kp.model
+    return _eval(m, kp.point, F, phi, frozenset(m.states), {})
 
 
 def denotation(
@@ -485,7 +492,8 @@ def denotation(
 ) -> tuple[str, ...]:
     """The states where phi holds, in file order."""
     check_formula(phi, m.election)
-    return tuple(s for s in m.states if _eval(m, s, F, phi))
+    live, memo = frozenset(m.states), {}
+    return tuple(s for s in m.states if _eval(m, s, F, phi, live, memo))
 
 
 def valid_on(m: ProfileModel, F: VotingRule | None, phi: Formula) -> bool:
@@ -493,8 +501,31 @@ def valid_on(m: ProfileModel, F: VotingRule | None, phi: Formula) -> bool:
     return len(denotation(m, F, phi)) == len(m.states)
 
 
-def _eval(m: ProfileModel, s: str, F: VotingRule | None, phi: Formula) -> bool:
+def _eval(
+    m: ProfileModel,
+    s: str,
+    F: VotingRule | None,
+    phi: Formula,
+    live: frozenset[str],
+    memo: dict,
+) -> bool:
+    """Truth of phi at s in m cut down to the live states.
+
+    The cut model is never built: its block at s is s's block of m filtered
+    by live, and winners read only the state's profile. memo (one per
+    evaluate/denotation call) holds K_i's verdict per (live set, K node,
+    block) and the live set after an announcement per (live set, announced
+    formula). Keys are object ids, since hashing a formula walks all of it;
+    every live set but the caller's is a memo value, so no id is reused
+    during the call.
+    """
+    # connectives first: most nodes a check visits are connectives
     match phi:
+        case Not(sub=sub):
+            return not _eval(m, s, F, sub, live, memo)
+        case And(left=l, right=r):
+            return (_eval(m, s, F, l, live, memo)
+                    and _eval(m, s, F, r, live, memo))
         case ProfileAtom(profile=p):
             return m.profile_at(s) == p
         case PrefAtom(voter=i, order=r):
@@ -507,17 +538,24 @@ def _eval(m: ProfileModel, s: str, F: VotingRule | None, phi: Formula) -> bool:
             return F.winner(m.election, m.profile_at(s)) == c
         case Top():
             return True
-        case Not(sub=sub):
-            return not _eval(m, s, F, sub)
-        case And(left=l, right=r):
-            return _eval(m, s, F, l) and _eval(m, s, F, r)
         case Know(voter=i, sub=sub):
-            return all(_eval(m, t, F, sub) for t in m.block_of(i, s))
+            block = m.block_of(i, s)
+            key = (id(live), id(phi), id(block))
+            known = memo.get(key)
+            if known is None:
+                known = memo[key] = all(_eval(m, t, F, sub, live, memo)
+                                        for t in block if t in live)
+            return known
         case Announce(announced=a, sub=sub):
-            if not _eval(m, s, F, a):
+            if not _eval(m, s, F, a, live, memo):
                 return True
-            kept = [t for t in m.states if _eval(m, t, F, a)]
-            return _eval(restrict(m, kept), s, F, sub)
+            key = (id(live), id(a))
+            kept = memo.get(key)
+            if kept is None:
+                kept = memo[key] = frozenset(
+                    t for t in m.states
+                    if t in live and _eval(m, t, F, a, live, memo))
+            return _eval(m, s, F, sub, kept, memo)
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -863,7 +901,19 @@ def formula_conditional_equilibrium(
         for i in e.voters
         for block in m.blocks(i)
     }
-    alts = e.orders()
+    votes_at = dict(zip(m.states, induced_profiles(m, cp)))
+    key, classes = _key_of(F), ballot_classes(F, e.orders())
+    # a virtual voter's conjuncts do not depend on the other voters' sets
+    parts = {}
+    for vi, i in enumerate(e.voters):
+        for k, block in enumerate(m.blocks(i)):
+            truth = m.profile_at(block[0]).pref(i)
+            votes = [votes_at[s] for s in block]
+            base = truth.worst_of(F.winner(e, v) for v in votes)
+            dev = {c: truth.worst_of(F.winner(e, v.replace(i, alt)) for v in votes)
+                   for c, alt in classes}
+            parts[vi, k] = [Not(CompAtom(i, dev[key(alt)], base))
+                            for alt in e.orders() if alt != cp[vi][k]]
     conjuncts = []
     cells = itertools.product(
         *[list(enumerate(m.blocks(i))) for i in e.voters]
@@ -872,18 +922,7 @@ def formula_conditional_equilibrium(
         guard = big_and(
             chars[(i, block)] for i, (_, block) in zip(e.voters, cell)
         )
-        body = []
-        for vi, i in enumerate(e.voters):
-            k, block = cell[vi]
-            truth = m.profile_at(block[0]).pref(i)
-            votes = [induced_votes(m, cp, s) for s in block]
-            base = truth.worst_of(F.winner(e, v) for v in votes)
-            for alt in alts:
-                if alt == cp[vi][k]:
-                    continue
-                dev = truth.worst_of(
-                    F.winner(e, v.replace(i, alt)) for v in votes)
-                body.append(Not(CompAtom(i, dev, base)))
+        body = [f for vi, (k, _) in enumerate(cell) for f in parts[vi, k]]
         conjuncts.append(Implies(guard, big_and(body)))
     return big_and(conjuncts)
 

@@ -34,16 +34,21 @@ InformationSet = tuple[str, ...]
 
 DEFAULT_MAX_STATES = 10**6
 
-# A candidate name is a word of the formula language (reserved words pass),
-# so every model can be written out and read back.
+# A candidate name is a word of the formula language other than a reserved
+# word, so every model can be written out and read back and every candidate
+# can be named in a formula.
 _CANDIDATE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+RESERVED_WORDS = frozenset({"K", "true", "false", "profile", "pref", "wins"})
 
 
 def check_candidate_names(candidates) -> None:
-    """Raise ValueError for the first name that is not a formula identifier."""
+    """Raise ValueError for the first name that is not a formula identifier
+    or is a reserved word of the formula language."""
     for c in candidates:
         if not _CANDIDATE_NAME.fullmatch(c):
             raise ValueError(f"candidate name {c!r} is not an identifier")
+        if c in RESERVED_WORDS:
+            raise ValueError(f"candidate name {c!r} is a reserved word")
 
 
 @dataclass(frozen=True)

@@ -314,7 +314,7 @@ def test_voter_outside_the_election_is_an_error(capsys, argv):
     assert err.startswith("error: no voter") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("names", ["a b,c", "a,,b", "x>y,z", "a;b,c"])
+@pytest.mark.parametrize("names", ["a b,c", "a,,b", "x>y,z", "a;b,c", "K,a"])
 def test_hypercube_rejects_unreadable_candidate_names(capsys, names):
     code, out, err = run(capsys, "hypercube", "--voters", "1",
                          "--candidates", names)

@@ -116,8 +116,11 @@ def test_syntax_errors_carry_positions(src):
 
 
 def test_reserved_words_are_not_candidates():
+    for word in ("K", "true", "false", "profile", "pref", "wins"):
+        with pytest.raises(ValueError, match="reserved word"):
+            Election((word, "a"), 1)
     with pytest.raises(FormulaSyntaxError):
-        parse("1: true>a", Election(("true", "a"), 1))
+        parse("1: true>a", E2)
 
 
 def test_unknown_voter_and_candidate():

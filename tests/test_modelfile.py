@@ -57,6 +57,7 @@ def test_write_is_canonical_fixed_point(hidden_flip):
 @pytest.mark.parametrize("line,fragment", [
     ("candidates: a a b", "twice"),
     ("candidates: a b>c d", "not an identifier"),
+    ("candidates: true a b", "reserved word"),
     ("voters: 0", "at least one"),
     ("tiebreak: a b", "tiebreak"),
     ("state t = 1: a>b>c", "lacks voter"),
