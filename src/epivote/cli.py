@@ -11,12 +11,16 @@ Exit codes: 0 for a positive verdict (true / preserved / found / plain
 success), 1 for a negative verdict, 2 for any error. --format records emits
 one JSON object per result line instead of prose; field order is fixed so
 golden files diff cleanly.
+
+The argument parser is built once per process, on the first call of main;
+each call parses into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -39,6 +43,7 @@ def main(argv=None) -> int:
         return 2
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="epivote",
@@ -160,7 +165,7 @@ def _parse_order(text: str) -> Preference:
 def _election(args) -> Election:
     if getattr(args, "model", None):
         return load_model(args.model).election
-    if args.candidates and args.voters:
+    if args.candidates and args.voters is not None:
         return Election(tuple(c.strip() for c in args.candidates.split(",")), args.voters)
     raise ValueError("need --model, or --candidates with --voters")
 

@@ -53,7 +53,11 @@ def update(
     result is simply unpointed, and callers that evaluate at the point
     reject it there.
     """
-    kept = denotation(m, F, phi)
+    return _updated(m, denotation(m, F, phi))
+
+
+def _updated(m: ProfileModel, kept: tuple[str, ...]) -> UpdateResult:
+    """update from the announcement's denotation on m."""
     if not kept:
         raise EmptyResult("the announced formula holds at no state")
     keep_set = set(kept)
@@ -126,50 +130,41 @@ def check_preservation(
     """
     if property not in PROPERTIES:
         raise ValueError(f"unknown property {property!r}; choose from {PROPERTIES}")
-    return _preservation(m, F, update(m, phi, F), property, voter, cp)
+    upd = update(m, phi, F)
+    before = _holds(m, F, property, voter, cp)
+    if property in _POINTED_PROPERTIES and not upd.point_survives:
+        raise EmptyResult("the announced formula is false at the point")
+    after = _holds_after(m, upd, F, property, voter, cp)
+    return PreservationReport(property, before[0], after[0], before[1], after[1], upd)
 
 
-def _preservation(m, F, upd: UpdateResult, property, voter, cp) -> PreservationReport:
-    """check_preservation after the update, so a hunt can reuse one update."""
-    if property in _POINTED_PROPERTIES:
-        if voter is None:
-            raise ValueError(f"property {property!r} needs a voter")
-        if m.point is None:
-            raise UnknownState("property needs a pointed model")
-        if not upd.point_survives:
-            raise EmptyResult("the announced formula is false at the point")
-        before = _pointed_property(m.pointed(), F, property, voter)
-        after = _pointed_property(upd.model.pointed(), F, property, voter)
-    else:
+def _holds(m: ProfileModel, F, property: str, voter, cp) -> tuple[bool, object]:
+    """Whether the property holds on m, and its witness."""
+    if property in _PROFILE_PROPERTIES:
         if cp is None:
             raise ValueError(f"property {property!r} needs a conditional profile")
-        eq_before, block_before = is_conditional_equilibrium(m, F, cp)
-        new_cp = update_conditional_profile(m, cp, upd)
-        eq_after, block_after = is_conditional_equilibrium(upd.model, F, new_cp)
-        flip = property == "not_conditional_equilibrium"
-        before = (not eq_before if flip else eq_before, block_before)
-        after = (not eq_after if flip else eq_after, block_after)
-    return PreservationReport(
-        property=property,
-        held_before=before[0],
-        held_after=after[0],
-        witness_before=before[1],
-        witness_after=after[1],
-        updated=upd,
-    )
-
-
-def _pointed_property(kp, F, property: str, i: Voter):
-    if property == "knowledge_de_re":
-        return knows_manipulation(kp, F, i, mode="de_re")
-    if property == "knowledge_de_dicto":
-        return knows_manipulation(kp, F, i, mode="de_dicto")
+        eq, blocker = is_conditional_equilibrium(m, F, cp)
+        return (not eq if property == "not_conditional_equilibrium" else eq), blocker
+    if voter is None:
+        raise ValueError(f"property {property!r} needs a voter")
+    if m.point is None:
+        raise UnknownState("property needs a pointed model")
+    kp = m.pointed()
+    if property != "dominant_manipulation":
+        return knows_manipulation(kp, F, voter, mode=property.removeprefix("knowledge_"))
     alts = tuple(
         alt
         for alt in kp.election.orders()
-        if dominant_manipulation_of_infoset(kp, F, i, alt)
+        if dominant_manipulation_of_infoset(kp, F, voter, alt)
     )
     return (bool(alts), alts)
+
+
+def _holds_after(m, upd: UpdateResult, F, property, voter, cp) -> tuple[bool, object]:
+    """_holds on the updated model, with cp carried across the update."""
+    if property in _PROFILE_PROPERTIES:
+        cp = update_conditional_profile(m, cp, upd)
+    return _holds(upd.model, F, property, voter, cp)
 
 
 # ------------------------------------------------------- seeded random hunts
@@ -301,29 +296,27 @@ def search_counterexample(
         m = random_model(rng, e, max_states, tiebreak=fixed_tiebreak)
         rule = F if F is not None else Plurality(m.tiebreak)
         phi = random_announcement(rng, m, keep_point=pointed)
-        upd = update(m, phi, rule)
-        if not upd.dropped:
+        kept = denotation(m, rule, phi)
+        if len(kept) == len(m.states):
             continue  # identity update, nothing can break
         if pointed:
-            voter = rng.choice(list(e.voters))
-            rep = _preservation(m, rule, upd, property, voter, None)
-            if rep.held_before and not rep.held_after:
-                return HuntResult(
-                    property, True, attempt, seed, m, phi,
-                    f"voter {voter} at point {m.point}: holds before announcing "
-                    f"{to_text(phi)}, fails after",
-                )
-            continue
-        for _ in range(12):
-            cp = random_conditional_profile(rng, m)
-            rep = _preservation(m, rule, upd, property, None, cp)
-            if rep.held_before and not rep.held_after:
-                label = " / ".join(
-                    strategy_label(row, by_top=False) for row in cp
-                )
-                return HuntResult(
-                    property, True, attempt, seed, m, phi,
-                    f"conditional profile ({label}): holds before announcing "
-                    f"{to_text(phi)}, fails after",
-                )
+            cases = [(rng.choice(list(e.voters)), None)]
+        else:
+            cases = [(None, random_conditional_profile(rng, m)) for _ in range(12)]
+        upd = None  # built the first time the property holds before
+        for voter, cp in cases:
+            if not _holds(m, rule, property, voter, cp)[0]:
+                continue
+            upd = upd or _updated(m, kept)
+            if _holds_after(m, upd, rule, property, voter, cp)[0]:
+                continue
+            if pointed:
+                who = f"voter {voter} at point {m.point}"
+            else:
+                label = " / ".join(strategy_label(row, by_top=False) for row in cp)
+                who = f"conditional profile ({label})"
+            return HuntResult(
+                property, True, attempt, seed, m, phi,
+                f"{who}: holds before announcing {to_text(phi)}, fails after",
+            )
     return HuntResult(property, False, budget, seed, None, None, "budget exhausted")

@@ -712,26 +712,35 @@ def characteristic_formula(
     ends in the same group as one inside, no formula of any shape can
     separate them and Indistinguishable is raised.
     """
-    if not target:
-        raise EmptySet("target needs at least one state")
-    idx = [m.index(s) for s in target]
+    (formula,) = _characteristic_formulas(m, [target])
+    return CharacteristicFormula(target=tuple(target), formula=formula)
+
+
+def _characteristic_formulas(m: ProfileModel, targets) -> list[Formula]:
+    """characteristic_formula's formulas for several targets of one model,
+    with one partition refinement and one class-formula table for all."""
+    idxs = []
+    for target in targets:
+        if not target:
+            raise EmptySet("target needs at least one state")
+        idxs.append([m.index(s) for s in target])
     rounds = _bisim_rounds(m)
     cls = rounds[-1]
     table = _class_formula_table(m, rounds)
-    target_classes = []
-    for ti in idx:
-        if cls[ti] not in target_classes:
-            target_classes.append(cls[ti])
-    inside = set(idx)
-    for si in range(len(m.states)):
-        if si not in inside and cls[si] in target_classes:
-            raise Indistinguishable(
-                f"state {m.states[si]!r} cannot be separated from the target"
-            )
-    return CharacteristicFormula(
-        target=tuple(target),
-        formula=big_or(table[c] for c in target_classes),
-    )
+    out = []
+    for idx in idxs:
+        target_classes = []
+        for ti in idx:
+            if cls[ti] not in target_classes:
+                target_classes.append(cls[ti])
+        inside = set(idx)
+        for si in range(len(m.states)):
+            if si not in inside and cls[si] in target_classes:
+                raise Indistinguishable(
+                    f"state {m.states[si]!r} cannot be separated from the target"
+                )
+        out.append(big_or(table[c] for c in target_classes))
+    return out
 
 
 def _bisim_rounds(m: ProfileModel) -> list[list[int]]:
@@ -896,11 +905,8 @@ def formula_conditional_equilibrium(
     from characteristic-formula construction.
     """
     e = m.election
-    chars = {
-        (i, block): characteristic_formula(m, block).formula
-        for i in e.voters
-        for block in m.blocks(i)
-    }
+    sets = [(i, block) for i in e.voters for block in m.blocks(i)]
+    chars = dict(zip(sets, _characteristic_formulas(m, [b for _, b in sets])))
     votes_at = dict(zip(m.states, induced_profiles(m, cp)))
     key, classes = _key_of(F), ballot_classes(F, e.orders())
     # a virtual voter's conjuncts do not depend on the other voters' sets

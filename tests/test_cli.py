@@ -3,6 +3,9 @@
 import io
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import tempfile
 import traceback
 from contextlib import redirect_stderr, redirect_stdout
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epivote import PROPERTIES, load_model, parse_model
+from epivote import cli
 from epivote.cli import main
 from conftest import fixture_path
 
@@ -183,6 +187,14 @@ def test_reduce(capsys):
     assert "[" not in out and "K1" in out
 
 
+def test_reduce_with_zero_voters_names_the_real_fault(capsys):
+    code, out, err = run(capsys, "reduce", "-f", "1: a>b",
+                         "--candidates", "a,b", "--voters", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: an election needs at least one voter\n"
+
+
 def test_axioms_valid_fixture(capsys):
     code, out, _ = run(capsys, "axioms", fixture_path("nested-doubt"))
     assert code == 0
@@ -321,6 +333,53 @@ def test_hypercube_rejects_unreadable_candidate_names(capsys, names):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+# ----------------------------------------- one parser, and the entry point
+
+INTERLEAVED = [
+    ["check", fixture_path("hidden-flip"), "-f", "1: a>c", "--all-states",
+     "--format", "records"],
+    ["check", fixture_path("hidden-flip"), "-f", "1: a>c", "--point", "u"],
+    ["check", fixture_path("hidden-flip"), "-f", "1: a>c"],
+    ["hunt", "--property", "conditional_equilibrium", "--budget", "50"],
+    ["check", fixture_path("hidden-flip")],  # argparse: --formula missing
+    ["hunt", "--property", "knowledge_de_re", "--budget", "5",
+     "--format", "records"],
+    ["reduce", "-f", "[wins a] K1 wins b", "--candidates", "a,b",
+     "--voters", "1"],
+    ["check", fixture_path("hidden-flip"), "-f", "1: a>c", "--format",
+     "records"],
+]
+
+
+def test_one_parser_serves_interleaved_invocations():
+    """Options, defaults and errors of one call do not reach the next."""
+    fresh = []
+    for argv in INTERLEAVED:
+        cli._parser.cache_clear()
+        fresh.append(run_in_process(argv))
+    cli._parser.cache_clear()
+    shared = [run_in_process(argv) for argv in INTERLEAVED]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [1, 1, 0, 0, 2, 1, 0, 0]
+    info = cli._parser.cache_info()  # built by the first call only
+    assert (info.misses, info.hits) == (1, len(INTERLEAVED) - 1)
+
+
+def test_python_dash_m_matches_main():
+    argv = ["hunt", "--property", "conditional_equilibrium", "--seed", "0",
+            "--format", "records"]
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "epivote", *argv],
+                          capture_output=True, env=env, timeout=120)
+    code, out, err = run_in_process(argv)
+    assert code == 0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, out.encode(), err.encode())
 
 
 # ------------------------------------------------- the exit-code contract

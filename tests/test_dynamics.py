@@ -27,6 +27,7 @@ from epivote import (
     update_conditional_profile,
     validate_model,
 )
+from test_dynamics_oracle import old_search_counterexample
 
 F = Plurality(pref("b>a>c"))
 
@@ -191,9 +192,11 @@ def test_hunting_knowledge_exhausts_its_budget():
 
 @pytest.mark.parametrize("prop", PROPERTIES)
 def test_hunts_update_once_per_attempt(monkeypatch, prop):
-    """One update, so one denotation, per attempt, however many profiles."""
+    """One denotation per attempt, however many profiles, and one restricted
+    model per attempt at which the property held before the announcement."""
     before = search_counterexample(prop, F=F, seed=4, budget=50)
-    calls = {"update": 0, "denotation": 0}
+    _, held = old_search_counterexample(prop, F=F, seed=4, budget=50)
+    calls = {"denotation": 0, "restrict": 0}
     for name in calls:
         real = getattr(dynamics, name)
 
@@ -203,7 +206,7 @@ def test_hunts_update_once_per_attempt(monkeypatch, prop):
 
         monkeypatch.setattr(dynamics, name, counted)
     hit = search_counterexample(prop, F=F, seed=4, budget=50)
-    assert calls == {"update": hit.tries, "denotation": hit.tries}
+    assert calls == {"denotation": hit.tries, "restrict": held}
     assert (hit.found, hit.tries, hit.detail) == (
         before.found, before.tries, before.detail)
 

@@ -12,6 +12,7 @@ strategy in conftest, the five fixtures and the hypercubes.
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import pointed_models, random_formula
@@ -20,6 +21,7 @@ from epivote import (
     Announce,
     CompAtom,
     Election,
+    Indistinguishable,
     Know,
     MissingTiebreak,
     Not,
@@ -33,8 +35,10 @@ from epivote import (
     evaluate,
     hypercube,
     induced_votes,
+    make_model,
     parse,
     pref,
+    profile,
     to_text,
 )
 from epivote import games, logic, model, rules
@@ -239,3 +243,42 @@ def test_conditional_equilibrium_formula_work(monkeypatch, nested_doubt):
     build_concept_formula("conditional_equilibrium", m=nested_doubt, F=rule,
                           cp=cp)
     assert counts == {"winner": 24, "shape": 1}
+
+
+def test_conditional_equilibrium_formula_refines_once(monkeypatch,
+                                                      all_fixture_models):
+    """One partition refinement and one class-formula table per formula,
+    however many information sets need a characteristic formula."""
+    counts = {"_bisim_rounds": 0, "_class_formula_table": 0}
+    for name in counts:
+        real = getattr(logic, name)
+
+        def counted(*args, name=name, real=real):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(logic, name, counted)
+    for m in all_fixture_models.values():
+        counts.update(_bisim_rounds=0, _class_formula_table=0)
+        build_concept_formula("conditional_equilibrium", m=m,
+                              F=Plurality(m.tiebreak),
+                              cp=games.sincere_conditional_profile(m))
+        assert counts == {"_bisim_rounds": 1, "_class_formula_table": 1}
+
+
+def test_conditional_equilibrium_formula_fails_on_the_same_set():
+    """Voter 1 has one set; voter 2 has two, each bisimilar to the other:
+    the first one in voter-then-block order is the one reported."""
+    e = Election(("a", "b", "c"), 2)
+    same = profile("a>b>c", "c>b>a")
+    m = make_model(e, ["s", "t", "u"], [same, same, profile("a>b>c", "b>c>a")],
+                   {1: [("s", "t", "u")], 2: [("s",), ("t",), ("u",)]},
+                   tiebreak=pref("b>a>c"), point="s")
+    rule = Plurality(m.tiebreak)
+    cp = games.sincere_conditional_profile(m)
+    with pytest.raises(Indistinguishable) as old:
+        old_conditional_equilibrium(m, rule, cp)
+    with pytest.raises(Indistinguishable) as new:
+        build_concept_formula("conditional_equilibrium", m=m, F=rule, cp=cp)
+    assert str(new.value) == str(old.value) == (
+        "state 't' cannot be separated from the target")
