@@ -194,26 +194,29 @@ def cmd_equilibria(args) -> int:
     if args.matrix:
         mat = games.payoff_matrix(m, F, by_top=args.by_top)
         if args.format == "records":
-            for row in mat.row_labels:
-                for col in mat.col_labels:
+            for row, wrow, prow, srow in zip(
+                    mat.row_labels, mat.winners, mat.payoffs, mat.equilibria):
+                for col, winners, payoffs, star in zip(
+                        mat.col_labels, wrow, prow, srow):
                     print(json.dumps({
                         "command": "equilibria", "row": row, "col": col,
-                        "winners": mat.winners_at(row, col),
-                        "payoffs": mat.payoff_at(row, col),
-                        "equilibrium": mat.is_equilibrium_at(row, col),
+                        "winners": winners, "payoffs": payoffs,
+                        "equilibrium": star,
                     }))
         else:
             print(games.render_matrix(mat))
         return 0
     found = games.enumerate_conditional_equilibria(m, F, by_top=args.by_top)
+    labels = [[games.strategy_label(row, by_top=args.by_top) for row in cp]
+              for cp in found]
     if args.format == "text":
         print(f"{len(found)} equilibria")
-    for cp in found:
-        labels = [games.strategy_label(row, by_top=args.by_top) for row in cp]
-        _emit(args, {"command": "equilibria", "labels": labels,
-                     "winners": games.winners_string(m, F, cp),
-                     "payoffs": games.payoff_string(m, F, cp)},
-              "(" + ", ".join(labels) + ")")
+        for ls in labels:
+            print("(" + ", ".join(ls) + ")")
+        return 0
+    for ls, (winners, payoffs) in zip(labels, games.outcome_strings(m, F, found)):
+        print(json.dumps({"command": "equilibria", "labels": ls,
+                          "winners": winners, "payoffs": payoffs}))
     return 0
 
 

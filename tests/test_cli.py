@@ -121,6 +121,60 @@ def test_equilibria_records_carry_strings(capsys):
     assert row["payoffs"] == "11.1"
 
 
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+EQUILIBRIA_MODES = {
+    "list": [], "by-top": ["--by-top"], "matrix": ["--matrix"],
+    "by-top-matrix": ["--by-top", "--matrix"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+@pytest.mark.parametrize("mode", sorted(EQUILIBRIA_MODES))
+@pytest.mark.parametrize("name", ["hidden-flip", "known-aligned",
+                                  "known-opposed", "mutual-doubt",
+                                  "nested-doubt"])
+def test_equilibria_output_matches_golden(capsys, name, mode, fmt):
+    """Every listing and grid of every fixture, byte for byte."""
+    code, out, err = run(capsys, "equilibria", fixture_path(name),
+                         *EQUILIBRIA_MODES[mode], "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{name}.{mode}.{fmt}.txt").read_text()
+
+
+# Tops 'a'+'bc' and 'ab'+'c' both concatenate to 'abc'.
+COLLIDING_TOPS = """\
+candidates: a bc ab c
+voters: 2
+tiebreak: c ab bc a
+state s = 1: a>bc>ab>c ; 2: c>ab>bc>a
+state t = 1: ab>c>a>bc ; 2: c>ab>bc>a
+indist 1: {s} {t}
+indist 2: {s t}
+point: s
+"""
+
+
+def test_by_top_labels_keep_multi_character_tops_apart(capsys, tmp_path):
+    path = tmp_path / "colliding.model"
+    path.write_text(COLLIDING_TOPS)
+    code, out, _ = run(capsys, "equilibria", str(path), "--by-top", "--matrix",
+                       "--format", "records")
+    assert code == 0
+    cells = [json.loads(line) for line in out.splitlines()]
+    assert len(cells) == 16 * 4
+    rows = list(dict.fromkeys(c["row"] for c in cells))
+    assert len(rows) == 16
+    assert rows[:2] == ["aa", "a-bc"] and rows[11] == "ab-c"
+
+    def payoffs(row):
+        return " ".join(c["payoffs"] for c in cells if c["row"] == row)
+
+    assert payoffs("a-bc") == "30.0 20.1 13.2 02.3"
+    assert payoffs("ab-c") == "12.2 12.2 12.2 02.3"
+    code, out, _ = run(capsys, "equilibria", str(path), "--by-top")
+    assert "(ab-c, c)" in out.splitlines()
+
+
 def test_manipulations_report(capsys):
     code, out, _ = run(capsys, "manipulations", fixture_path("hidden-flip"),
                        "--point", "u", "--format", "records")

@@ -36,6 +36,7 @@ from epivote import (
     VirtualVoter,
     worst_winner,
 )
+from epivote.games import strategy_label
 from epivote.rules import ballot_space
 
 E2 = Election(("a", "b", "c"), 2)
@@ -376,3 +377,14 @@ def test_conditional_profile_shape_is_checked(hidden_flip, cp, message):
                  lambda: induced_winners(hidden_flip, rule, cp)):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+def test_by_top_labels_join_multi_character_tops():
+    a, bc, ab, c = (Preference((x,) + tuple(y for y in ("a", "bc", "ab", "c")
+                                            if y != x))
+                    for x in ("a", "bc", "ab", "c"))
+    assert strategy_label((a, c)) == "ac"
+    assert strategy_label((a, bc)) == "a-bc"
+    assert strategy_label((ab, c)) == "ab-c"
+    assert strategy_label((bc,)) == "bc"
+    assert strategy_label((a, bc), by_top=False) == "a>bc>ab>c bc>a>ab>c"

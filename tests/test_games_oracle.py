@@ -23,7 +23,13 @@ from epivote import (
     validate_model,
     virtual_voters,
 )
-from epivote.games import payoff_string, strategy_label, winners_string
+from epivote import games
+from epivote.games import (
+    outcome_strings,
+    payoff_string,
+    strategy_label,
+    winners_string,
+)
 from epivote.rules import ballot_classes, ballot_space
 
 # Full products of conditional profiles beyond this are not enumerated.
@@ -140,3 +146,39 @@ def test_keyless_rule_has_one_class_per_ballot(hidden_flip):
     orders = hidden_flip.election.orders()
     assert ballot_classes(Veto(hidden_flip.tiebreak), orders) == [
         (b, b) for b in orders]
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(m=pointed_models(), data=st.data())
+def test_outcome_strings_match_the_per_profile_strings(m, data):
+    cps = data.draw(st.lists(conditional_profiles(m), min_size=1, max_size=8))
+    cps += cps[:2]  # repeats are read back from the memo
+    for F in (Plurality(m.tiebreak), Veto(m.tiebreak)):
+        assert outcome_strings(m, F, cps) == [
+            (winners_string(m, F, cp), payoff_string(m, F, cp)) for cp in cps]
+
+
+def count_payoff_digits(monkeypatch):
+    calls = []
+    digits = games._payoff_digits
+
+    def counted(*args):
+        calls.append(None)
+        return digits(*args)
+
+    monkeypatch.setattr(games, "_payoff_digits", counted)
+    return calls
+
+
+def test_full_grid_computes_once_per_key_pair(mutual_doubt, monkeypatch):
+    """Plurality keys a ballot by its top: 3^2 row keys x 3^2 column keys."""
+    calls = count_payoff_digits(monkeypatch)
+    mat = payoff_matrix(mutual_doubt, Plurality(mutual_doubt.tiebreak), False)
+    assert (len(mat.row_labels), len(mat.col_labels)) == (36, 36)
+    assert len(calls) == 81
+
+
+def test_keyless_grid_computes_every_cell(mutual_doubt, monkeypatch):
+    calls = count_payoff_digits(monkeypatch)
+    payoff_matrix(mutual_doubt, Veto(mutual_doubt.tiebreak), False)
+    assert len(calls) == 36 * 36
