@@ -27,7 +27,7 @@ import sys
 from . import dynamics, games, logic, strategic
 from .errors import EpivoteError, UnknownState
 from .model import Election, Preference, ProfileModel, hypercube, pref, validate_model
-from .modelfile import load_model, parse_model, write_model
+from .modelfile import load_model, write_model
 from .rules import Plurality, rule_for
 
 
@@ -166,8 +166,13 @@ def _election(args) -> Election:
     if getattr(args, "model", None):
         return load_model(args.model).election
     if args.candidates and args.voters is not None:
-        return Election(tuple(c.strip() for c in args.candidates.split(",")), args.voters)
+        return _listed_election(args)
     raise ValueError("need --model, or --candidates with --voters")
+
+
+def _listed_election(args) -> Election:
+    """The election of the comma-separated --candidates and of --voters."""
+    return Election(tuple(c.strip() for c in args.candidates.split(",")), args.voters)
 
 
 # ------------------------------------------------------------- subcommands
@@ -278,7 +283,7 @@ def cmd_update(args) -> int:
 
 
 def cmd_hypercube(args) -> int:
-    e = Election(tuple(c.strip() for c in args.candidates.split(",")), args.voters)
+    e = _listed_election(args)
     tiebreak = _parse_order(args.tiebreak) if args.tiebreak else None
     m = hypercube(e, tiebreak=tiebreak)
     validate_model(m)
@@ -307,8 +312,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_axioms(args) -> int:
-    with open(args.model) as fh:
-        m = parse_model(fh.read(), validate=False)
+    m = load_model(args.model, validate=False)
     rep = logic.check_axioms(m)
     record = {
         "command": "axioms",
@@ -370,7 +374,7 @@ def _parse_conditional_profile(m: ProfileModel, spec: str):
 
 
 def cmd_hunt(args) -> int:
-    e = Election(tuple(c.strip() for c in args.candidates.split(",")), args.voters)
+    e = _listed_election(args)
     res = dynamics.search_counterexample(
         args.property, e=e, seed=args.seed,
         budget=args.budget, max_states=args.max_states)

@@ -27,7 +27,7 @@ from .model import (
     restrict,
 )
 from .rules import Plurality, VotingRule
-from .strategic import dominant_manipulation_of_infoset, knows_manipulation
+from .strategic import _considered, _dominant_alts, knows_manipulation
 
 
 @dataclass(frozen=True)
@@ -152,11 +152,8 @@ def _holds(m: ProfileModel, F, property: str, voter, cp) -> tuple[bool, object]:
     kp = m.pointed()
     if property != "dominant_manipulation":
         return knows_manipulation(kp, F, voter, mode=property.removeprefix("knowledge_"))
-    alts = tuple(
-        alt
-        for alt in kp.election.orders()
-        if dominant_manipulation_of_infoset(kp, F, voter, alt)
-    )
+    considered = _considered(kp, voter)
+    alts = _dominant_alts(kp.election, F, voter, kp.truth().pref(voter), considered)
     return (bool(alts), alts)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
@@ -90,20 +91,16 @@ def induced_votes(m: ProfileModel, cp: ConditionalProfile, state: str) -> Profil
     return Profile(tuple(row[k] for row, k in zip(cp, ks)))
 
 
-def induced_profiles(m: ProfileModel, cp: ConditionalProfile) -> tuple[Profile, ...]:
-    """induced_votes at every state, states in file order, with one shape check."""
-    _check_shape(m, cp)
-    return tuple(
-        Profile(tuple(row[k] for row, k in zip(cp, _blocks_at(m, si))))
-        for si in range(len(m.states))
-    )
-
-
 def induced_winners(
     m: ProfileModel, F: VotingRule, cp: ConditionalProfile
 ) -> tuple[Candidate, ...]:
-    """Winner per state, states in file order."""
-    return tuple(F.winner(m.election, v) for v in induced_profiles(m, cp))
+    """Winner per state, states in file order, with one shape check."""
+    _check_shape(m, cp)
+    return tuple(
+        F.winner(m.election,
+                 Profile(tuple(row[k] for row, k in zip(cp, _blocks_at(m, si)))))
+        for si in range(len(m.states))
+    )
 
 
 def _check_shape(m: ProfileModel, cp: ConditionalProfile) -> None:
@@ -150,12 +147,11 @@ def payoff(
 
 
 class _Player(NamedTuple):
-    """A virtual voter as the equilibrium check sees her.
+    """A virtual voter as the game's tables see her.
 
-    Ballots sit in slots, one per virtual voter in virtual_voters order, so
-    slot order is the flattened conditional profile. ``rank`` maps each
-    candidate to its rank_value under her true preference. ``rows`` gives,
-    per state of her block, the slot of each voter's ballot there. Her payoff
+    ``rank`` maps each candidate to its rank_value under her true
+    preference. ``states`` holds the positions of her block's states, and
+    ``rows`` the slots of every voter's ballot at each of them. Her payoff
     and her deviations read those slots and her own, nothing else.
     """
 
@@ -163,86 +159,101 @@ class _Player(NamedTuple):
     block: InformationSet
     slot: int
     rank: dict[Candidate, int]
+    states: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
 
 
-def _slot_bounds(m: ProfileModel) -> list[int]:
-    """Voter i's slots run from entry i-1 to entry i (one more than voters)."""
-    return list(itertools.accumulate(
-        (len(m.blocks(i)) for i in m.election.voters), initial=0))
+class _Game:
+    """The tables of the game m induces under F, built once per call.
 
-
-def _state_slots(m: ProfileModel) -> list[tuple[int, ...]]:
-    """Per state in file order, the slot of each voter's ballot there.
-
-    Raises PartitionError when some voter's partition misses a state.
+    Ballots sit in slots, one per virtual voter in virtual_voters order, so
+    slot order is the flattened conditional profile; voter i's slots run
+    from bounds[i-1] to bounds[i]. ``classes`` are F's ballot classes over
+    e.orders() (see ballot_classes). Players are built when first reached,
+    so a check that stops at an improving virtual voter builds none after
+    her.
     """
-    first_slot = _slot_bounds(m)
-    return [
-        tuple(o + k for o, k in zip(first_slot, _blocks_at(m, si)))
-        for si in range(len(m.states))
-    ]
+
+    def __init__(self, m: ProfileModel, F: VotingRule):
+        e = m.election
+        self.m, self.key = m, _key_of(F)
+        self.classes = ballot_classes(F, e.orders())
+        self.bounds = list(itertools.accumulate(
+            (len(m.blocks(i)) for i in e.voters), initial=0))
+        # per state in file order, the slot of each voter's ballot there;
+        # PartitionError when some voter's partition misses a state
+        self.at = [tuple(o + k for o, k in zip(self.bounds, _blocks_at(m, si)))
+                   for si in range(len(m.states))]
+        self._players: list[_Player] = []
+        first, memo = dict(self.classes), {}
+
+        def winner(keys: tuple) -> Candidate:
+            """F's winner when the i-th voter casts a ballot with the i-th
+            key: the first ballot of its class, one Profile per key tuple."""
+            won = memo.get(keys)
+            if won is None:
+                won = memo[keys] = F.winner(
+                    e, Profile(tuple(first[k] for k in keys)))
+            return won
+
+        self.winner = winner
+
+    def keys_of(self, cp: ConditionalProfile) -> tuple:
+        """The ballot key in each slot of cp; ValueError for a wrong shape."""
+        _check_shape(self.m, cp)
+        key = self.key
+        return tuple(key(b) for row in cp for b in row)
+
+    def players(self) -> Iterator[_Player]:
+        """One _Player per virtual voter in slot order, built when reached."""
+        m, built = self.m, self._players
+        slot = 0
+        for i in m.election.voters:
+            for block in m.blocks(i):
+                if slot == len(built):
+                    truth = m.profile_at(block[0]).pref(i)
+                    states = tuple(map(m.index, block))
+                    built.append(_Player(
+                        i, block, slot,
+                        {c: truth.rank_value(c) for c in truth.order},
+                        states, tuple(self.at[si] for si in states)))
+                yield built[slot]
+                slot += 1
+
+    @cached_property
+    def all_players(self) -> list[_Player]:
+        """players(), all built: outcome reads every one on every call."""
+        return list(self.players())
+
+    def outcome(self, keys: tuple) -> tuple[str, str]:
+        """(winners_string, payoff_string) of any conditional profile whose
+        slots hold ballots with these keys."""
+        winner = self.winner
+        won = [winner(tuple(map(keys.__getitem__, slots))) for slots in self.at]
+        digits = [str(min(p.rank[won[si]] for si in p.states))
+                  for p in self.all_players]
+        cuts = zip(self.bounds, self.bounds[1:])
+        return _joined(won), ".".join("".join(digits[a:b]) for a, b in cuts)
 
 
-def _players(m: ProfileModel) -> Iterator[_Player]:
-    """One _Player per virtual voter, in virtual_voters (slot) order.
-
-    Every state is checked up front, so a partition that misses a state
-    raises PartitionError before the first player is yielded.
-    """
-    first_slot = _slot_bounds(m)
-    at = _state_slots(m)
-    for i in m.election.voters:
-        for k, block in enumerate(m.blocks(i)):
-            truth = m.profile_at(block[0]).pref(i)
-            yield _Player(
-                i, block, first_slot[i - 1] + k,
-                {c: truth.rank_value(c) for c in truth.order},
-                tuple(at[m.index(s)] for s in block),
-            )
-
-
-def _keyed(e: Election, F: VotingRule):
-    """F's ballot key, its ballot classes over e.orders(), and a winner memo.
-
-    ``winner(keys)`` is F's winner when the i-th voter casts a ballot with
-    the i-th key. It votes the first ballot of each key's class and is
-    memoised on the key tuple, so one search builds each Profile once.
-    """
-    classes = ballot_classes(F, e.orders())
-    first = dict(classes)
-    memo: dict[tuple, Candidate] = {}
-
-    def winner(keys: tuple) -> Candidate:
-        won = memo.get(keys)
-        if won is None:
-            won = memo[keys] = F.winner(
-                e, Profile(tuple(first[k] for k in keys)))
-        return won
-
-    return _key_of(F), classes, winner
-
-
-def _first_improvement(
-    p: _Player, keys: list, classes: list[tuple], winner
-) -> Preference | None:
+def _first_improvement(game: _Game, p: _Player, keys) -> Preference | None:
     """The first ballot in e.orders() that raises p's worst-case rank, or None.
 
     ``keys`` holds the ballot key of each slot and is read only at p's own
     slot and at the slots in p.rows. Ballots with equal keys yield the same
-    winners, so one ballot per class of ``classes`` (from _keyed) is tried,
-    skipping the class of her own ballot, whose ballots change nothing. A
-    class's first ballot comes before its others, so the ballot returned is
-    the first improving one in e.orders(). A change of p's ballot only
-    shifts winners at states inside her block, so only those are recomputed.
+    winners, so one ballot per class of game.classes is tried, skipping the
+    class of her own ballot, whose ballots change nothing. A class's first
+    ballot comes before its others, so the ballot returned is the first
+    improving one in e.orders(). A change of p's ballot only shifts winners
+    at states inside her block, so only those are recomputed.
     """
-    rank, vi = p.rank, p.voter - 1
+    rank, vi, winner = p.rank, p.voter - 1, game.winner
     base = [tuple(map(keys.__getitem__, row)) for row in p.rows]
     here = min(rank[winner(ks)] for ks in base)
     if here == len(rank) - 1:
         return None  # already gets her top everywhere, nothing beats it
     own = keys[p.slot]
-    for k, alt in classes:
+    for k, alt in game.classes:
         if k == own:
             continue
         for ks in base:
@@ -265,11 +276,10 @@ def is_conditional_equilibrium(
     same as if all m! ballots were tried. Raises ValueError when cp does not
     have one row per voter and one ballot per information set.
     """
-    _check_shape(m, cp)
-    key, classes, winner = _keyed(m.election, F)
-    keys = [key(b) for row in cp for b in row]
-    for p in _players(m):
-        alt = _first_improvement(p, keys, classes, winner)
+    game = _Game(m, F)
+    keys = game.keys_of(cp)
+    for p in game.players():
+        alt = _first_improvement(game, p, keys)
         if alt is not None:
             return False, (VirtualVoter(p.voter, p.block), alt)
     return True, None
@@ -297,22 +307,20 @@ def enumerate_conditional_equilibria(
     Raises SizeLimit, before any search, when the full product of
     conditional profiles exceeds max_profiles.
     """
-    e = m.election
-    space = ballot_space(e, by_top)
-    bounds = _slot_bounds(m)
-    n = bounds[-1]
+    space = ballot_space(m.election, by_top)
+    n = sum(len(m.blocks(i)) for i in m.election.voters)
     total = len(space) ** n
     if total > max_profiles:
         raise SizeLimit(
             f"{total} conditional profiles exceed the cap of {max_profiles}"
         )
-    cuts = list(zip(bounds, bounds[1:]))
+    game = _Game(m, F)
+    cuts = list(zip(game.bounds, game.bounds[1:]))
     due: list[list[tuple[_Player, itemgetter, dict]]] = [[] for _ in range(n)]
-    for p in _players(m):
+    for p in game.players():
         scope = sorted({p.slot}.union(*p.rows))
         due[scope[-1]].append((p, itemgetter(*scope), {}))
-    key, classes, winner = _keyed(e, F)
-    space_keys = [key(b) for b in space]
+    space_keys = [game.key(b) for b in space]
     ballots: list = [None] * n
     keys: list = [None] * n
     tried = [0] * n  # per slot, how many ballots of space have been tried
@@ -334,7 +342,7 @@ def enumerate_conditional_equilibria(
                 stable = memo.get(scope_keys)
                 if stable is None:
                     stable = memo[scope_keys] = (
-                        _first_improvement(p, keys, classes, winner) is None
+                        _first_improvement(game, p, keys) is None
                     )
                 if not stable:
                     break
@@ -378,22 +386,28 @@ def enumerate_equilibria(
     return [Profile(tuple(row[0] for row in cp)) for cp in cps]
 
 
+def _joined(names) -> str:
+    """Names concatenated ('abc'), or joined with '-' when some name is
+    longer than one character ('a-bc', 'ab-c'), so different lists never
+    read alike; candidate names never contain '-'."""
+    return ("-" if max(map(len, names), default=0) > 1 else "").join(names)
+
+
 def strategy_label(choices: tuple[Preference, ...], by_top: bool = True) -> str:
     """Row/column label: tops concatenated ('ac'), or full orders joined.
 
-    When some top is longer than one character the tops are joined with '-'
-    ('a-bc', 'ab-c'), so different strategies never share a label; candidate
-    names never contain '-'.
+    Tops are joined as winners are (see winners_string), so different
+    strategies never share a label.
     """
     if by_top:
-        tops = [p.top for p in choices]
-        return ("-" if any(len(t) > 1 for t in tops) else "").join(tops)
+        return _joined([p.top for p in choices])
     return " ".join(p.as_text() for p in choices)
 
 
 def winners_string(m: ProfileModel, F: VotingRule, cp: ConditionalProfile) -> str:
-    """Winners at each state in file order, concatenated ('bbc')."""
-    return "".join(induced_winners(m, F, cp))
+    """Winners at each state in file order, concatenated ('bbc'), or joined
+    with '-' when some candidate name is longer than one character."""
+    return _joined(induced_winners(m, F, cp))
 
 
 def payoff_string(m: ProfileModel, F: VotingRule, cp: ConditionalProfile) -> str:
@@ -402,49 +416,11 @@ def payoff_string(m: ProfileModel, F: VotingRule, cp: ConditionalProfile) -> str
     A two-voter model where voter 1 has two blocks and voter 2 has one reads
     like '11.1': voter 1's blocks in model order, then voter 2's.
     """
-    return _payoff_digits(_block_ranks(m), induced_winners(m, F, cp))
-
-
-def _block_ranks(m: ProfileModel) -> list[list[tuple[tuple[int, ...], dict]]]:
-    """Per voter, per block in model order: the positions of the block's
-    states and each candidate's rank_value under the voter's true preference.
-    """
-    out = []
-    for i in m.election.voters:
-        row = []
-        for block in m.blocks(i):
-            truth = m.profile_at(block[0]).pref(i)
-            row.append((tuple(map(m.index, block)),
-                        {c: truth.rank_value(c) for c in truth.order}))
-        out.append(row)
-    return out
-
-
-def _payoff_digits(blocks, winners: tuple[Candidate, ...]) -> str:
-    """payoff_string from _block_ranks(m) and the winner at each state."""
     return ".".join(
-        "".join(str(min(rank[winners[si]] for si in at)) for at, rank in row)
-        for row in blocks
+        "".join(str(payoff(m, F, cp, VirtualVoter(i, block)))
+                for block in m.blocks(i))
+        for i in m.election.voters
     )
-
-
-def _outcomes(m: ProfileModel, F: VotingRule):
-    """F's ballot key, and the cell strings of a tuple of slot keys.
-
-    ``outcome(keys)`` is (winners_string, payoff_string) of any conditional
-    profile whose slots (virtual_voters order) hold ballots with those keys.
-    Winners come from the memo of _keyed, one per state; the state slots and
-    the block rank tables are built once, here.
-    """
-    key, _, winner = _keyed(m.election, F)
-    at = _state_slots(m)
-    blocks = _block_ranks(m)
-
-    def outcome(keys: tuple) -> tuple[str, str]:
-        won = tuple(winner(tuple(map(keys.__getitem__, slots))) for slots in at)
-        return "".join(won), _payoff_digits(blocks, won)
-
-    return key, outcome
 
 
 def outcome_strings(
@@ -456,15 +432,14 @@ def outcome_strings(
     equal strings, so they are computed once per tuple of ballot keys.
     Raises ValueError for a profile of the wrong shape, as induced_winners.
     """
-    key, outcome = _outcomes(m, F)
+    game = _Game(m, F)
     memo: dict[tuple, tuple[str, str]] = {}
     out = []
     for cp in cps:
-        _check_shape(m, cp)
-        keys = tuple(key(b) for row in cp for b in row)
+        keys = game.keys_of(cp)
         got = memo.get(keys)
         if got is None:
-            got = memo[keys] = outcome(keys)
+            got = memo[keys] = game.outcome(keys)
         out.append(got)
     return out
 
@@ -503,7 +478,7 @@ def payoff_matrix(
 
     Strategies whose ballots have equal keys under F (see ballot_classes)
     have equal cells, so each cell's winners and payoffs are computed once
-    per pair of a row's and a column's key tuples (see _outcomes): 81 times
+    per pair of a row's and a column's key tuples (see _Game.outcome): 81 times
     instead of 1,296 on the full three-candidate plurality grid with two
     blocks per voter. A rule without a ballot key computes every cell. The
     cells of the equilibria that enumerate_conditional_equilibria lists are
@@ -520,12 +495,12 @@ def payoff_matrix(
             f"{len(rows) * len(cols)} cells exceed the cap of {max_profiles}"
         )
     found = enumerate_conditional_equilibria(m, F, by_top, max_profiles)
-    key, outcome = _outcomes(m, F)
-    row_keys, row_class = _key_classes(rows, key)
-    col_keys, col_class = _key_classes(cols, key)
+    game = _Game(m, F)
+    row_keys, row_class = _key_classes(rows, game.key)
+    col_keys, col_class = _key_classes(cols, game.key)
     winners, payoffs = [], []
     for rk in row_keys:
-        cells = [outcome(rk + ck) for ck in col_keys]
+        cells = [game.outcome(rk + ck) for ck in col_keys]
         winners.append(tuple(cells[k][0] for k in col_class))
         payoffs.append(tuple(cells[k][1] for k in col_class))
     stars = [[False] * len(cols) for _ in rows]

@@ -50,7 +50,7 @@ from .errors import (
     UnknownCandidate,
     UnknownVoter,
 )
-from .games import ConditionalProfile, induced_profiles
+from .games import ConditionalProfile, _Game
 from .model import (
     DEFAULT_MAX_STATES,
     RESERVED_WORDS,
@@ -64,7 +64,7 @@ from .model import (
     Voter,
     validate_structure,
 )
-from .rules import VotingRule, _key_of, ballot_classes
+from .rules import VotingRule
 
 
 @dataclass(frozen=True)
@@ -213,10 +213,6 @@ class _Parser:
         kind, text, pos = self.take()
         if kind != "sym" or text != s:
             raise FormulaSyntaxError(pos, f"expected {s!r}, found {text!r}")
-
-    def fail(self, msg: str):
-        _, _, pos = self.peek()
-        raise FormulaSyntaxError(pos, msg)
 
     # grammar levels
 
@@ -905,31 +901,27 @@ def formula_conditional_equilibrium(
     from characteristic-formula construction.
     """
     e = m.election
-    sets = [(i, block) for i in e.voters for block in m.blocks(i)]
-    chars = dict(zip(sets, _characteristic_formulas(m, [b for _, b in sets])))
-    votes_at = dict(zip(m.states, induced_profiles(m, cp)))
-    key, classes = _key_of(F), ballot_classes(F, e.orders())
+    chars = _characteristic_formulas(
+        m, [block for i in e.voters for block in m.blocks(i)])
+    game = _Game(m, F)
+    keys, winner = game.keys_of(cp), game.winner
+    ballots = [b for row in cp for b in row]
+    keyed = [(alt, game.key(alt)) for alt in e.orders()]
     # a virtual voter's conjuncts do not depend on the other voters' sets
-    parts = {}
-    for vi, i in enumerate(e.voters):
-        for k, block in enumerate(m.blocks(i)):
-            truth = m.profile_at(block[0]).pref(i)
-            votes = [votes_at[s] for s in block]
-            base = truth.worst_of(F.winner(e, v) for v in votes)
-            dev = {c: truth.worst_of(F.winner(e, v.replace(i, alt)) for v in votes)
-                   for c, alt in classes}
-            parts[vi, k] = [Not(CompAtom(i, dev[key(alt)], base))
-                            for alt in e.orders() if alt != cp[vi][k]]
+    parts = []
+    for p in game.players():
+        vi, rank = p.voter - 1, p.rank.__getitem__
+        base = [tuple(map(keys.__getitem__, row)) for row in p.rows]
+        here = min(map(winner, base), key=rank)
+        dev = {k: min((winner(ks[:vi] + (k,) + ks[vi + 1:]) for ks in base),
+                      key=rank) for k, _ in game.classes}
+        parts.append([Not(CompAtom(p.voter, dev[k], here))
+                      for alt, k in keyed if alt != ballots[p.slot]])
     conjuncts = []
-    cells = itertools.product(
-        *[list(enumerate(m.blocks(i))) for i in e.voters]
-    )
-    for cell in cells:
-        guard = big_and(
-            chars[(i, block)] for i, (_, block) in zip(e.voters, cell)
-        )
-        body = [f for vi, (k, _) in enumerate(cell) for f in parts[vi, k]]
-        conjuncts.append(Implies(guard, big_and(body)))
+    for cell in itertools.product(*map(range, game.bounds, game.bounds[1:])):
+        guard = big_and(chars[slot] for slot in cell)
+        conjuncts.append(Implies(guard, big_and(f for slot in cell
+                                                for f in parts[slot])))
     return big_and(conjuncts)
 
 

@@ -106,6 +106,15 @@ def _dominant(
     return strict
 
 
+def _dominant_alts(
+    e, F: VotingRule, i: Voter, truth: Preference, considered: list[Profile]
+) -> tuple[Preference, ...]:
+    """The ballots dominant_manipulation_of_infoset accepts, in e.orders() order."""
+    return tuple(
+        alt for alt in e.orders() if _dominant(e, F, i, truth, considered, alt)
+    )
+
+
 def _pessimistic(
     e,
     F: VotingRule,
@@ -157,9 +166,7 @@ def classify(kp: KnowledgeProfile, F: VotingRule, i: Voter) -> ManipulationRepor
     manipulation_alts = tuple(
         alt for alt in e.orders() if is_manipulation(F, e, actual, i, alt)
     )
-    dominant_alts = tuple(
-        alt for alt in e.orders() if _dominant(e, F, i, truth, considered, alt)
-    )
+    dominant_alts = _dominant_alts(e, F, i, truth, considered)
     pessimistic_alts = tuple(
         alt for alt in e.orders() if _pessimistic(e, F, i, truth, considered, alt)
     )

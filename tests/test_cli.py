@@ -13,10 +13,17 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epivote import PROPERTIES, load_model, parse_model
+from epivote import (
+    PROPERTIES,
+    classify,
+    load_model,
+    parse_model,
+    rule_for,
+    write_model,
+)
 from epivote import cli
 from epivote.cli import main
-from conftest import fixture_path
+from conftest import fixture_path, pointed_models
 
 HIDDEN_FLIP_MATRIX = """\
    | a   b   c
@@ -171,6 +178,14 @@ def test_by_top_labels_keep_multi_character_tops_apart(capsys, tmp_path):
 
     assert payoffs("a-bc") == "30.0 20.1 13.2 02.3"
     assert payoffs("ab-c") == "12.2 12.2 12.2 02.3"
+
+    def winners(row, col):
+        return next(c["winners"] for c in cells
+                    if (c["row"], c["col"]) == (row, col))
+
+    # winners (a, bc) and (ab, c): joined as the labels are, never as "abc"
+    assert winners("a-bc", "a") == "a-bc"
+    assert winners("ab-c", "a") == "ab-c"
     code, out, _ = run(capsys, "equilibria", str(path), "--by-top")
     assert "(ab-c, c)" in out.splitlines()
 
@@ -509,6 +524,27 @@ def argvs(draw, cmd):
                 "--max-states", str(draw(st.integers(0, 4))),
                 "--candidates", draw(CANDIDATES), "--voters", str(draw(VOTERS))]
     return [cmd, *tail, "--format", draw(FORMAT)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(m=pointed_models())
+def test_written_models_read_back_and_report_every_voter(m):
+    """A drawn model survives write_model and parse_model, and the CLI's
+    manipulations report on its file has one record per voter, of the kind
+    classify gives."""
+    text = write_model(m)
+    assert parse_model(text) == m
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "drawn.model")
+        with open(path, "w") as fh:
+            fh.write(text)
+        code, out, err = run_in_process(
+            ["manipulations", path, "--format", "records"])
+    assert code == 0, err
+    records = [json.loads(line) for line in out.splitlines()]
+    F, kp = rule_for(m), m.pointed()
+    assert [(r["voter"], r["kind"]) for r in records] == [
+        (i, classify(kp, F, i).kind) for i in m.election.voters]
 
 
 def run_in_process(argv):

@@ -11,10 +11,12 @@ from epivote import (
     MissingTiebreak,
     Plurality,
     PROPERTIES,
+    ProfileModel,
     VirtualVoter,
     check_preservation,
     conditional_profile,
     denotation,
+    dominant_manipulation_of_infoset,
     enumerate_conditional_equilibria,
     is_conditional_equilibrium,
     parse,
@@ -120,6 +122,31 @@ def test_announcing_alignment_keeps_equilibrium(hidden_flip):
     )
     assert rep.held_before and rep.held_after and rep.preserved
     assert rep.updated.survived == ("t",)
+
+
+def test_dominance_reads_the_considered_profiles_once_per_model(
+        hidden_flip, monkeypatch):
+    """One profiles_of call before the announcement and one after, with the
+    verdicts and witnesses of dominant_manipulation_of_infoset."""
+    calls = []
+    real = ProfileModel.profiles_of
+
+    def counted(self, block):
+        calls.append(block)
+        return real(self, block)
+
+    monkeypatch.setattr(ProfileModel, "profiles_of", counted)
+    rep = check_preservation(hidden_flip, F, parse("1: a>c", hidden_flip.election),
+                             "dominant_manipulation", voter=2)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert not rep.held_before and rep.held_after
+    for m, held, alts in ((hidden_flip, rep.held_before, rep.witness_before),
+                          (rep.updated.model, rep.held_after, rep.witness_after)):
+        kp = m.pointed()
+        assert alts == tuple(a for a in m.election.orders()
+                             if dominant_manipulation_of_infoset(kp, F, 2, a))
+        assert held == bool(alts)
 
 
 def test_announcing_reversal_breaks_equilibrium(hidden_flip):

@@ -158,27 +158,27 @@ def test_outcome_strings_match_the_per_profile_strings(m, data):
             (winners_string(m, F, cp), payoff_string(m, F, cp)) for cp in cps]
 
 
-def count_payoff_digits(monkeypatch):
+def count_outcomes(monkeypatch):
     calls = []
-    digits = games._payoff_digits
+    outcome = games._Game.outcome
 
     def counted(*args):
         calls.append(None)
-        return digits(*args)
+        return outcome(*args)
 
-    monkeypatch.setattr(games, "_payoff_digits", counted)
+    monkeypatch.setattr(games._Game, "outcome", counted)
     return calls
 
 
 def test_full_grid_computes_once_per_key_pair(mutual_doubt, monkeypatch):
     """Plurality keys a ballot by its top: 3^2 row keys x 3^2 column keys."""
-    calls = count_payoff_digits(monkeypatch)
+    calls = count_outcomes(monkeypatch)
     mat = payoff_matrix(mutual_doubt, Plurality(mutual_doubt.tiebreak), False)
     assert (len(mat.row_labels), len(mat.col_labels)) == (36, 36)
     assert len(calls) == 81
 
 
 def test_keyless_grid_computes_every_cell(mutual_doubt, monkeypatch):
-    calls = count_payoff_digits(monkeypatch)
+    calls = count_outcomes(monkeypatch)
     payoff_matrix(mutual_doubt, Veto(mutual_doubt.tiebreak), False)
     assert len(calls) == 36 * 36

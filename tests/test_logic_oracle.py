@@ -242,7 +242,7 @@ def test_conditional_equilibrium_formula_work(monkeypatch, nested_doubt):
     counts.update(winner=0, shape=0)
     build_concept_formula("conditional_equilibrium", m=nested_doubt, F=rule,
                           cp=cp)
-    assert counts == {"winner": 24, "shape": 1}
+    assert counts == {"winner": 7, "shape": 1}
 
 
 def test_conditional_equilibrium_formula_refines_once(monkeypatch,
