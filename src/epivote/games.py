@@ -35,6 +35,7 @@ from .model import (
     ProfileModel,
     Voter,
     make_model,
+    ranks_every_candidate,
 )
 from .rules import VotingRule, _key_of, ballot_classes, ballot_space
 
@@ -104,7 +105,8 @@ def induced_winners(
 
 
 def _check_shape(m: ProfileModel, cp: ConditionalProfile) -> None:
-    """Raise ValueError unless cp has one row per voter, one ballot per block."""
+    """Raise ValueError unless cp has one row per voter, one ballot per block,
+    and every ballot ranks every candidate exactly once."""
     if len(cp) != m.election.num_voters:
         raise ValueError(
             f"expected {m.election.num_voters} voter rows, got {len(cp)}")
@@ -113,6 +115,11 @@ def _check_shape(m: ProfileModel, cp: ConditionalProfile) -> None:
             raise ValueError(
                 f"voter {i} has {len(m.blocks(i))} information sets, "
                 f"got {len(row)} ballots")
+        for ballot in row:
+            if not ranks_every_candidate(ballot.order, m.election.candidates):
+                raise ValueError(
+                    f"voter {i}: ballot {ballot.as_text()} does not rank every "
+                    f"candidate exactly once")
 
 
 def _blocks_at(m: ProfileModel, si: int) -> tuple[int, ...]:

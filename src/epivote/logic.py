@@ -50,7 +50,7 @@ from .errors import (
     UnknownCandidate,
     UnknownVoter,
 )
-from .games import ConditionalProfile, _Game
+from .games import ConditionalProfile, _blocks_at, _Game
 from .model import (
     DEFAULT_MAX_STATES,
     RESERVED_WORDS,
@@ -62,6 +62,8 @@ from .model import (
     Profile,
     ProfileModel,
     Voter,
+    own_preference_violations,
+    ranks_every_candidate,
     validate_structure,
 )
 from .rules import VotingRule
@@ -348,7 +350,7 @@ class _Parser:
         return tuple(names)
 
     def _complete(self, order: tuple[str, ...], pos: int) -> Preference:
-        if sorted(order) != sorted(self.e.candidates):
+        if not ranks_every_candidate(order, self.e.candidates):
             raise IncompleteProfileAtom(
                 f"position {pos}: ranking {'>'.join(order)!r} must list every "
                 f"candidate exactly once"
@@ -428,13 +430,13 @@ def check_formula(phi: Formula, e: Election) -> None:
                     f"expected {e.num_voters}"
                 )
             for r in p.prefs:
-                if sorted(r.order) != sorted(e.candidates):
+                if not ranks_every_candidate(r.order, e.candidates):
                     raise IncompleteProfileAtom(
                         f"profile atom ranking {r.as_text()} incomplete"
                     )
         case PrefAtom(voter=i, order=r):
             _need_voter(i, e)
-            if sorted(r.order) != sorted(e.candidates):
+            if not ranks_every_candidate(r.order, e.candidates):
                 raise IncompleteProfileAtom(
                     f"pref atom ranking {r.as_text()} incomplete"
                 )
@@ -667,20 +669,11 @@ class AxiomReport:
 def check_axioms(m: ProfileModel) -> AxiomReport:
     """Check both axioms; accepts models that fail the own-preference rule."""
     validate_structure(m)
-    viols = []
-    for i in m.election.voters:
-        for block in m.blocks(i):
-            for s in block:
-                mine = m.profile_at(s).pref(i)
-                witness = next(
-                    (t for t in block if m.profile_at(t).pref(i) != mine), None
-                )
-                if witness is not None:
-                    viols.append((i, s, witness))
+    viols = tuple(own_preference_violations(m))
     return AxiomReport(
         exclusivity_valid=True,
         introspection_valid=not viols,
-        introspection_violations=tuple(viols),
+        introspection_violations=viols,
     )
 
 
@@ -741,17 +734,14 @@ def _characteristic_formulas(m: ProfileModel, targets) -> list[Formula]:
 
 def _bisim_rounds(m: ProfileModel) -> list[list[int]]:
     # class id = index of the first state in the class; round 0 groups by profile
-    cls = _group([m.profiles[si] for si in range(len(m.states))])
+    at = [_blocks_at(m, si) for si in range(len(m.states))]
+    cls = _group(m.profiles)
     rounds = [cls]
     while True:
-        sigs = []
-        for si, s in enumerate(m.states):
-            seen = tuple(
-                frozenset(cls[m.index(t)] for t in m.block_of(i, s))
-                for i in m.election.voters
-            )
-            sigs.append((cls[si], seen))
-        new = _group(sigs)
+        seen = [[frozenset(cls[m.index(t)] for t in b) for b in m.blocks(i)]
+                for i in m.election.voters]
+        new = _group((cls[si], tuple(row[k] for row, k in zip(seen, ks)))
+                     for si, ks in enumerate(at))
         if new == cls:
             return rounds
         cls = new
@@ -772,21 +762,19 @@ def _class_formula_table(
     m: ProfileModel, rounds: list[list[int]]
 ) -> list[Formula]:
     # table[si] is true at exactly the states sharing si's final class
-    table: list[Formula] = [ProfileAtom(m.profiles[si]) for si in range(len(m.states))]
-    for k in range(1, len(rounds)):
-        prev = rounds[k - 1]
+    at = [_blocks_at(m, si) for si in range(len(m.states))]
+    table: list[Formula] = [ProfileAtom(p) for p in m.profiles]
+    for prev in rounds[:-1]:
+        # per voter and block, its members' classes in first-seen order
+        reps = [[list(dict.fromkeys(prev[m.index(t)] for t in b))
+                 for b in m.blocks(i)] for i in m.election.voters]
         new_table: list[Formula] = []
-        for si, s in enumerate(m.states):
+        for si, ks in enumerate(at):
             parts = [table[si]]
-            for i in m.election.voters:
-                reps: list[int] = []
-                for t in m.block_of(i, s):
-                    c = prev[m.index(t)]
-                    if c not in reps:
-                        reps.append(c)
-                for c in reps:
+            for i, row, k in zip(m.election.voters, reps, ks):
+                for c in row[k]:
                     parts.append(Not(Know(i, Not(table[c]))))
-                parts.append(Know(i, big_or(table[c] for c in reps)))
+                parts.append(Know(i, big_or(table[c] for c in row[k])))
             new_table.append(big_and(parts))
         table = new_table
     return table

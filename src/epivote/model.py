@@ -354,12 +354,32 @@ def validate_model(m: ProfileModel) -> None:
     UnknownState. Returning normally means the model is well formed.
     """
     validate_structure(m)
+    for voter, state, other in own_preference_violations(m):
+        raise OwnPreferenceViolation(voter, state, other)
+
+
+def own_preference_violations(m: ProfileModel):
+    """Yield (voter, state, witness) for every state whose block holds a
+    state with another ballot of that voter; the witness is the first such
+    state of the block. Voters ascending, blocks and members in model order.
+
+    Linear in each block: every member's ballot differs from the block's
+    first ballot or from that of its first member with another ballot, so
+    those two states are the only witnesses.
+    """
     for voter in m.election.voters:
         for block in m.blocks(voter):
-            anchor = m.profile_at(block[0]).pref(voter)
-            for s in block[1:]:
-                if m.profile_at(s).pref(voter) != anchor:
-                    raise OwnPreferenceViolation(voter, block[0], s)
+            ballots = [m.profile_at(s).pref(voter) for s in block]
+            odd = next((k for k, b in enumerate(ballots) if b != ballots[0]), None)
+            if odd is None:
+                continue
+            for s, b in zip(block, ballots):
+                yield voter, s, block[odd] if b == ballots[0] else block[0]
+
+
+def ranks_every_candidate(order, candidates) -> bool:
+    """Whether the sequence order lists every candidate exactly once."""
+    return len(order) == len(candidates) and set(order).issuperset(candidates)
 
 
 def validate_structure(m: ProfileModel) -> None:
@@ -374,7 +394,7 @@ def validate_structure(m: ProfileModel) -> None:
         raise PartitionError("duplicate state names")
     if len(m.profiles) != len(m.states):
         raise DanglingState("valuation does not cover every state")
-    cset = set(m.election.candidates)
+    candidates = m.election.candidates
     for s, p in zip(m.states, m.profiles):
         if len(p.prefs) != m.election.num_voters:
             raise DanglingState(
@@ -382,7 +402,7 @@ def validate_structure(m: ProfileModel) -> None:
                 f"expected {m.election.num_voters}"
             )
         for i, r in enumerate(p.prefs, start=1):
-            if set(r.order) != cset or len(r.order) != len(cset):
+            if not ranks_every_candidate(r.order, candidates):
                 raise DanglingState(
                     f"state {s!r}, voter {i}: order {r.as_text()} does not "
                     f"rank every candidate exactly once"
@@ -409,9 +429,8 @@ def validate_structure(m: ProfileModel) -> None:
             raise PartitionError(
                 f"voter {voter}'s partition misses state(s) {missing}"
             )
-    if m.tiebreak is not None and (
-        set(m.tiebreak.order) != cset or len(m.tiebreak.order) != len(cset)
-    ):
+    if m.tiebreak is not None and not ranks_every_candidate(
+            m.tiebreak.order, candidates):
         raise DanglingState("tiebreak order must rank every candidate once")
     if m.point is not None and m.point not in m.states:
         raise UnknownState(f"point {m.point!r} is not a state")

@@ -26,6 +26,7 @@ from .model import (
     ProfileModel,
     check_candidate_names,
     make_model,
+    ranks_every_candidate,
     validate_model,
 )
 
@@ -182,7 +183,7 @@ def _parse_profile(lineno, text, candidates, num_voters) -> Profile:
 
 
 def _check_order(lineno, order, candidates, what):
-    if sorted(order) != sorted(candidates):
+    if not ranks_every_candidate(order, candidates):
         raise ModelSyntaxError(
             lineno,
             f"{what} must rank every candidate exactly once, got "

@@ -54,14 +54,16 @@ def random_formula(rng, e, depth=3):
 
 
 @st.composite
-def pointed_models(draw):
+def pointed_models(draw, broken=False):
     """Small valid pointed models for oracle tests.
 
     2-3 voters, 3 candidates (sometimes 4), 1-4 states and a drawn tiebreak.
     Each voter's preference at a state comes from a pool of one or two
     orders, so information sets often hold several states. Each voter's
     partition splits the states sharing one of her preferences into blocks
-    at random, so she always knows her own preference.
+    at random, so she always knows her own preference. With broken=True it
+    splits all states at random instead, so a block may mix her
+    preferences: the model is well formed except for that rule.
     """
     e = Election(("a", "b", "c", "d")[:draw(st.sampled_from((3, 3, 3, 4)))],
                  draw(st.integers(2, 3)))
@@ -76,7 +78,7 @@ def pointed_models(draw):
     for i in e.voters:
         groups: dict = {}
         for s, p in zip(states, profiles):
-            groups.setdefault(p.pref(i), []).append(s)
+            groups.setdefault(None if broken else p.pref(i), []).append(s)
         blocks: list[list[str]] = []
         for members in groups.values():
             mine: list[list[str]] = []

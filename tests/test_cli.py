@@ -15,10 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 from epivote import (
     PROPERTIES,
+    check_axioms,
     classify,
     load_model,
     parse_model,
     rule_for,
+    save_model,
     write_model,
 )
 from epivote import cli
@@ -545,6 +547,21 @@ def test_written_models_read_back_and_report_every_voter(m):
     F, kp = rule_for(m), m.pointed()
     assert [(r["voter"], r["kind"]) for r in records] == [
         (i, classify(kp, F, i).kind) for i in m.election.voters]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(m=pointed_models(broken=True))
+def test_axioms_names_each_violation_of_a_written_model(m):
+    """axioms on a drawn model's file prints one line per own-preference
+    violation and exits 1, or exits 0 when there is none; no traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "drawn.model")
+        save_model(m, path)
+        code, out, err = run_in_process(["axioms", path])
+    violations = check_axioms(m).introspection_violations
+    assert (code, err) == (1 if violations else 0, "")
+    assert [line for line in out.splitlines() if "confuses" in line] == [
+        f"  voter {i} confuses {s} and {t}" for i, s, t in violations]
 
 
 def run_in_process(argv):

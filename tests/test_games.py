@@ -367,6 +367,10 @@ _ABC, _ACB, _BAC = pref("a>b>c"), pref("a>c>b"), pref("b>a>c")
     (((_ABC,), (_ACB, _BAC)), "voter 1 has 2 information sets, got 1 ballots"),
     (((_ABC, _ACB, _BAC), ()), "voter 1 has 2 information sets, got 3 ballots"),
     (((_ABC, _ACB),), "expected 2 voter rows, got 1"),
+    (((Preference(("a", "x")), _ACB), (_BAC,)),
+     "voter 1: ballot a>x does not rank every candidate exactly once"),
+    (((_ABC, _ACB), (pref("z>y>x"),)),
+     "voter 2: ballot z>y>x does not rank every candidate exactly once"),
 ])
 def test_conditional_profile_shape_is_checked(hidden_flip, cp, message):
     # voter 1 has two blocks and voter 2 one; flattening these profiles

@@ -5,8 +5,13 @@ evaluating the subformula at every state of the block, and it builds a
 restricted model (``model.restrict``) for each state at which an
 announcement is evaluated. ``old_conditional_equilibrium`` is the builder
 that computed every conjunct anew for each combination of information sets,
-with one winner call per ballot. Models come from the ``pointed_models``
-strategy in conftest, the five fixtures and the hypercubes.
+with one winner call per ballot. ``old_first_violation`` and
+``old_introspection_violations`` are the own-preference loops that
+``validate_model`` and ``check_axioms`` each kept, the second rescanning the
+block per member. ``old_bisim_rounds`` and ``old_class_formula_table`` are
+the partition refinement that rebuilt a block's class set per member state.
+Models come from the ``pointed_models`` strategy in conftest, the five
+fixtures and the hypercubes.
 """
 
 import itertools
@@ -25,6 +30,7 @@ from epivote import (
     Know,
     MissingTiebreak,
     Not,
+    OwnPreferenceViolation,
     Plurality,
     PrefAtom,
     ProfileAtom,
@@ -42,7 +48,7 @@ from epivote import (
     to_text,
 )
 from epivote import games, logic, model, rules
-from epivote.logic import Implies, big_and, characteristic_formula
+from epivote.logic import Implies, big_and, big_or, characteristic_formula
 
 F = Plurality(pref("b>a>c"))
 CUBE3X2 = hypercube(Election(("a", "b", "c"), 2), tiebreak=F.tiebreak)
@@ -282,3 +288,160 @@ def test_conditional_equilibrium_formula_fails_on_the_same_set():
         build_concept_formula("conditional_equilibrium", m=m, F=rule, cp=cp)
     assert str(new.value) == str(old.value) == (
         "state 't' cannot be separated from the target")
+
+
+# ------------------------------------------------------ own preference rule
+
+def old_first_violation(m):
+    """validate_model's own-preference loop before the shared scan: the
+    first (voter, block's first state, member with another ballot)."""
+    for voter in m.election.voters:
+        for block in m.blocks(voter):
+            anchor = m.profile_at(block[0]).pref(voter)
+            for s in block[1:]:
+                if m.profile_at(s).pref(voter) != anchor:
+                    return voter, block[0], s
+    return None
+
+
+def old_introspection_violations(m):
+    """check_axioms' loop before the shared scan: each member against its
+    whole block."""
+    viols = []
+    for i in m.election.voters:
+        for block in m.blocks(i):
+            for s in block:
+                mine = m.profile_at(s).pref(i)
+                witness = next(
+                    (t for t in block if m.profile_at(t).pref(i) != mine), None
+                )
+                if witness is not None:
+                    viols.append((i, s, witness))
+    return tuple(viols)
+
+
+def scrambled(m, rng, blocks):
+    """m with every voter's states dealt into `blocks` random blocks."""
+    partitions = {}
+    for i in m.election.voters:
+        dealt = [[] for _ in range(blocks)]
+        for s in m.states:
+            dealt[rng.randrange(blocks)].append(s)
+        partitions[i] = [b for b in dealt if b]
+    return make_model(m.election, m.states, m.profiles, partitions,
+                      tiebreak=m.tiebreak, point=m.point)
+
+
+CUBE4X2 = hypercube(Election(("a", "b", "c", "d"), 2),
+                    tiebreak=pref("b>a>c>d"))
+
+
+def assert_own_preference_matches(m):
+    want = old_introspection_violations(m)
+    rep = logic.check_axioms(m)
+    assert rep.introspection_violations == want
+    assert rep.introspection_valid == (not want)
+    first = old_first_violation(m)
+    if first is None:
+        model.validate_model(m)
+        return
+    with pytest.raises(OwnPreferenceViolation) as raised:
+        model.validate_model(m)
+    assert (raised.value.voter, raised.value.state_a,
+            raised.value.state_b) == first
+
+
+def test_own_preference_matches_the_old_loops(all_fixture_models):
+    rng = random.Random(11)
+    models = [*all_fixture_models.values(), CUBE3X3, CUBE4X2,
+              scrambled(CUBE3X3, rng, 9), scrambled(CUBE4X2, rng, 40)]
+    for m in models:
+        assert_own_preference_matches(m)
+    assert not logic.check_axioms(models[-1]).introspection_valid
+
+
+@given(m=pointed_models() | pointed_models(broken=True))
+@settings(derandomize=True, deadline=None, max_examples=400)
+def test_own_preference_matches_the_old_loops_on_drawn_models(m):
+    assert_own_preference_matches(m)
+
+
+def test_axiom_check_reads_each_ballot_once(monkeypatch):
+    calls = 0
+    real = model.Profile.pref
+
+    def counted(self, voter):
+        nonlocal calls
+        calls += 1
+        return real(self, voter)
+
+    monkeypatch.setattr(model.Profile, "pref", counted)
+    assert logic.check_axioms(CUBE3X3).introspection_valid
+    e = CUBE3X3.election
+    assert calls <= 3 * e.num_voters * len(CUBE3X3.states)  # 23,976 before
+
+
+# ------------------------------------------------------ partition refinement
+
+def old_bisim_rounds(m):
+    """_bisim_rounds before block ids: each member's block and its class
+    set rebuilt per state."""
+    cls = logic._group([m.profiles[si] for si in range(len(m.states))])
+    rounds = [cls]
+    while True:
+        sigs = []
+        for si, s in enumerate(m.states):
+            seen = tuple(
+                frozenset(cls[m.index(t)] for t in m.block_of(i, s))
+                for i in m.election.voters
+            )
+            sigs.append((cls[si], seen))
+        new = logic._group(sigs)
+        if new == cls:
+            return rounds
+        cls = new
+        rounds.append(cls)
+
+
+def old_class_formula_table(m, rounds):
+    table = [ProfileAtom(m.profiles[si]) for si in range(len(m.states))]
+    for k in range(1, len(rounds)):
+        prev = rounds[k - 1]
+        new_table = []
+        for si, s in enumerate(m.states):
+            parts = [table[si]]
+            for i in m.election.voters:
+                reps = []
+                for t in m.block_of(i, s):
+                    c = prev[m.index(t)]
+                    if c not in reps:
+                        reps.append(c)
+                for c in reps:
+                    parts.append(Not(Know(i, Not(table[c]))))
+                parts.append(Know(i, big_or(table[c] for c in reps)))
+            new_table.append(big_and(parts))
+        table = new_table
+    return table
+
+
+def assert_refinement_matches(m):
+    rounds = logic._bisim_rounds(m)
+    assert rounds == old_bisim_rounds(m)
+    assert list(map(to_text, logic._class_formula_table(m, rounds))) == list(
+        map(to_text, old_class_formula_table(m, rounds)))
+
+
+def test_refinement_matches_the_old_scans(all_fixture_models):
+    # each cube profile on two states: the random blocks take two rounds
+    twins = make_model(CUBE3X2.election,
+                       [*CUBE3X2.states, *(s + "_2" for s in CUBE3X2.states)],
+                       CUBE3X2.profiles * 2, tiebreak=F.tiebreak)
+    for m in [*all_fixture_models.values(), CUBE3X3,
+              scrambled(twins, random.Random(5), 3)]:
+        assert_refinement_matches(m)
+
+
+@given(m=pointed_models() | pointed_models(broken=True))
+@settings(derandomize=True, deadline=None, max_examples=200)
+def test_refinement_matches_the_old_scans_on_drawn_models(m):
+    assert_refinement_matches(m)
