@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
@@ -34,6 +34,7 @@ from .model import (
     Profile,
     ProfileModel,
     Voter,
+    check_size,
     make_model,
     ranks_every_candidate,
 )
@@ -301,49 +302,53 @@ def enumerate_conditional_equilibria(
     """All equilibria, in deterministic enumeration order.
 
     Order: ballots per block from ballot_space, blocks in model order, the
-    later voter's strategy cycling fastest.
-
-    The search is depth-first over slots, one per virtual voter in that same
-    order, trying ballots in ballot_space order, so equilibria come out in
-    the order above with no sorting. A virtual voter's payoff reads only the
-    ballots of the blocks that meet her own block (her scope), so she is
-    checked as soon as the last slot of her scope is assigned, and the branch
-    is cut if she has an improving ballot. Her verdict is memoised on the
-    ballot keys of her scope for the length of the call. Deviations try one
+    later voter's strategy cycling fastest (see _search). Deviations try one
     ballot per class the rule tells apart (see is_conditional_equilibrium).
     Raises SizeLimit, before any search, when the full product of
     conditional profiles exceeds max_profiles.
     """
     space = ballot_space(m.election, by_top)
     n = sum(len(m.blocks(i)) for i in m.election.voters)
-    total = len(space) ** n
-    if total > max_profiles:
-        raise SizeLimit(
-            f"{total} conditional profiles exceed the cap of {max_profiles}"
-        )
+    check_size(len(space) ** n, "conditional profiles", max_profiles)
     game = _Game(m, F)
-    cuts = list(zip(game.bounds, game.bounds[1:]))
+    voters = [slice(a, b) for a, b in zip(game.bounds, game.bounds[1:])]
+    out = []
+    for pos in _search(game, space):
+        flat = tuple(map(space.__getitem__, pos))
+        out.append(tuple(map(flat.__getitem__, voters)))
+    return out
+
+
+def _search(game: _Game, space: list[Preference]) -> Iterator[tuple[int, ...]]:
+    """Each equilibrium of game over the ballots of space, as the position in
+    space of the ballot in every slot, in itertools.product order.
+
+    Depth-first over slots, trying ballots in space order. A virtual voter's
+    payoff reads only the ballots of the blocks that meet her own block (her
+    scope), so she is checked once the last slot of her scope is assigned,
+    and the branch is cut if she has an improving ballot. Her verdict is
+    memoised on the ballot keys of her scope for the length of the search.
+    """
+    n = game.bounds[-1]
     due: list[list[tuple[_Player, itemgetter, dict]]] = [[] for _ in range(n)]
     for p in game.players():
         scope = sorted({p.slot}.union(*p.rows))
         due[scope[-1]].append((p, itemgetter(*scope), {}))
     space_keys = [game.key(b) for b in space]
-    ballots: list = [None] * n
     keys: list = [None] * n
-    tried = [0] * n  # per slot, how many ballots of space have been tried
-    out = []
+    pos = [-1] * n  # per slot, the position in space of the ballot there
+    last = len(space) - 1
     d = 0  # slots before d are assigned and every player due by then is stable
     while d >= 0:
         if d == n:
-            out.append(tuple(tuple(ballots[a:b]) for a, b in cuts))
+            yield tuple(pos)
             d -= 1
-        elif tried[d] == len(space):
-            tried[d] = 0
+        elif pos[d] == last:
+            pos[d] = -1
             d -= 1
         else:
-            ballots[d] = space[tried[d]]
-            keys[d] = space_keys[tried[d]]
-            tried[d] += 1
+            pos[d] += 1
+            keys[d] = space_keys[pos[d]]
             for p, scope_of, memo in due[d]:
                 scope_keys = scope_of(keys)
                 stable = memo.get(scope_keys)
@@ -355,7 +360,6 @@ def enumerate_conditional_equilibria(
                     break
             else:
                 d += 1
-    return out
 
 
 def _one_state(e: Election, truth: Profile) -> ProfileModel:
@@ -495,13 +499,10 @@ def payoff_matrix(
     if e.num_voters != 2:
         raise SizeLimit("matrix display needs exactly two voters")
     space = ballot_space(e, by_top)
-    rows = list(itertools.product(space, repeat=len(m.blocks(1))))
-    cols = list(itertools.product(space, repeat=len(m.blocks(2))))
-    if len(rows) * len(cols) > max_profiles:
-        raise SizeLimit(
-            f"{len(rows) * len(cols)} cells exceed the cap of {max_profiles}"
-        )
-    found = enumerate_conditional_equilibria(m, F, by_top, max_profiles)
+    n1, n2 = len(m.blocks(1)), len(m.blocks(2))
+    check_size(len(space) ** (n1 + n2), "cells", max_profiles)
+    rows = list(itertools.product(space, repeat=n1))
+    cols = list(itertools.product(space, repeat=n2))
     game = _Game(m, F)
     row_keys, row_class = _key_classes(rows, game.key)
     col_keys, col_class = _key_classes(cols, game.key)
@@ -510,10 +511,14 @@ def payoff_matrix(
         cells = [game.outcome(rk + ck) for ck in col_keys]
         winners.append(tuple(cells[k][0] for k in col_class))
         payoffs.append(tuple(cells[k][1] for k in col_class))
+
+    def place(positions) -> int:
+        """Where these ballot positions come in itertools.product over space."""
+        return reduce(lambda v, j: v * len(space) + j, positions, 0)
+
     stars = [[False] * len(cols) for _ in rows]
-    index = {b: j for j, b in enumerate(space)}
-    for r, c in found:
-        stars[_position(r, index)][_position(c, index)] = True
+    for pos in _search(game, space):
+        stars[place(pos[:n1])][place(pos[n1:])] = True
     return PayoffMatrix(
         row_labels=tuple(strategy_label(r, by_top) for r in rows),
         col_labels=tuple(strategy_label(c, by_top) for c in cols),
@@ -531,28 +536,17 @@ def _key_classes(strategies, key) -> tuple[list[tuple], list[int]]:
     return list(first), of
 
 
-def _position(choice: tuple[Preference, ...], index: dict) -> int:
-    """Where choice comes in itertools.product over the ballots of index."""
-    pos = 0
-    for b in choice:
-        pos = pos * len(index) + index[b]
-    return pos
-
-
-def render_matrix(mat: PayoffMatrix, mark: str = "*") -> str:
+def render_matrix(mat: PayoffMatrix) -> str:
     """Plain-text winners and payoff grids; equilibria marked on the payoff."""
-    lines = []
-    lines.append(_grid(mat.row_labels, mat.col_labels, mat.winners))
-    lines.append("")
     marked = tuple(
         tuple(
-            p + (mark if star else "")
+            p + ("*" if star else "")
             for p, star in zip(prow, srow)
         )
         for prow, srow in zip(mat.payoffs, mat.equilibria)
     )
-    lines.append(_grid(mat.row_labels, mat.col_labels, marked))
-    return "\n".join(lines)
+    return "\n".join([_grid(mat.row_labels, mat.col_labels, mat.winners), "",
+                      _grid(mat.row_labels, mat.col_labels, marked)])
 
 
 def _grid(row_labels, col_labels, cells) -> str:

@@ -41,6 +41,13 @@ _CANDIDATE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 RESERVED_WORDS = frozenset({"K", "true", "false", "profile", "pref", "wins"})
 
 
+def check_size(total: int, what: str, cap: int) -> None:
+    """Raise SizeLimit when an enumeration of total items (named by what in
+    the message) would exceed cap; callers count before they build."""
+    if total > cap:
+        raise SizeLimit(f"{total} {what} exceed the cap of {cap}")
+
+
 def check_candidate_names(candidates) -> None:
     """Raise ValueError for the first name that is not a formula identifier
     or is a reserved word of the formula language."""
@@ -82,11 +89,8 @@ class Election:
 
     def all_profiles(self, max_profiles: int = DEFAULT_MAX_STATES) -> list["Profile"]:
         """Every assignment of a linear order to each voter: (m!)^n profiles."""
-        total = math.factorial(len(self.candidates)) ** self.num_voters
-        if total > max_profiles:
-            raise SizeLimit(
-                f"{total} profiles exceed the cap of {max_profiles}"
-            )
+        check_size(math.factorial(len(self.candidates)) ** self.num_voters,
+                   "profiles", max_profiles)
         orders = self.orders()
         return [
             Profile(combo)

@@ -11,11 +11,12 @@ single-profile game is the game of a one-state model.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Protocol, runtime_checkable
 
-from .errors import MissingTiebreak, SizeLimit, UnknownVoter
+from .errors import MissingTiebreak, UnknownVoter
 from .model import (
     DEFAULT_MAX_STATES,
     Candidate,
@@ -23,6 +24,7 @@ from .model import (
     Preference,
     Profile,
     Voter,
+    check_size,
 )
 
 
@@ -120,10 +122,9 @@ def dominant_preference(
     """
     if i not in e.voters:
         raise UnknownVoter(f"no voter {i} in 1..{e.num_voters}")
+    check_size(math.factorial(len(e.candidates)) ** e.num_voters, "profiles",
+               max_profiles)
     orders = e.orders()
-    total = len(orders) ** e.num_voters
-    if total > max_profiles:
-        raise SizeLimit(f"{total} profiles exceed the cap of {max_profiles}")
     strict_somewhere = False
     for others in itertools.product(orders, repeat=e.num_voters - 1):
         sincere = Profile(others[:i - 1] + (truth,) + others[i - 1:])

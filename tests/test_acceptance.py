@@ -118,6 +118,7 @@ def test_criterion_03_three_state_grids(nested_doubt, mutual_doubt):
     assert not bad_n and not bad_m, (bad_n, bad_m)
     # spot anchors in the mutual-doubt grid
     assert mat_m.payoff_at("ac", "bc") == "11.12"
+    assert mat_m.winners_at("ac", "bc") == "bbc"
     assert mat_m.is_equilibrium_at("ac", "bc")
     assert mat_m.payoff_at("cc", "cc") == "02.22"
     assert not mat_m.is_equilibrium_at("cc", "cc")

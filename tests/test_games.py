@@ -9,6 +9,7 @@ information sets, blocks in state-file order.
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -358,6 +359,24 @@ def test_matrix_requires_two_voters():
     )
     with pytest.raises(SizeLimit):
         payoff_matrix(m, Plurality(pref("a>b")))
+
+
+def test_over_cap_grid_refuses_before_building():
+    """24 ballots on 4 + 4 singleton blocks: 24^8 cells, refused at once."""
+    e = Election(("a", "b", "c", "d"), 2)
+    orders = e.orders()
+    states = [f"s{k}" for k in range(4)]
+    m = make_model(e, states, [Profile((orders[k], orders[0])) for k in range(4)],
+                   tiebreak=orders[0])
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimit) as err:
+            payoff_matrix(m, Plurality(orders[0]), by_top=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "110075314176 cells exceed the cap of 1000000"
+    assert peak < 10 ** 6
 
 
 _ABC, _ACB, _BAC = pref("a>b>c"), pref("a>c>b"), pref("b>a>c")

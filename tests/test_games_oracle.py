@@ -170,6 +170,20 @@ def count_outcomes(monkeypatch):
     return calls
 
 
+def test_grid_builds_one_game(mutual_doubt, monkeypatch):
+    """The grid's cells and its equilibrium search read one game table."""
+    calls = []
+    init = games._Game.__init__
+
+    def counted(*args):
+        calls.append(None)
+        init(*args)
+
+    monkeypatch.setattr(games._Game, "__init__", counted)
+    payoff_matrix(mutual_doubt, Plurality(mutual_doubt.tiebreak), False)
+    assert len(calls) == 1
+
+
 def test_full_grid_computes_once_per_key_pair(mutual_doubt, monkeypatch):
     """Plurality keys a ballot by its top: 3^2 row keys x 3^2 column keys."""
     calls = count_outcomes(monkeypatch)

@@ -19,6 +19,7 @@ from epivote import (
     UnknownVoter,
     classify,
     dominant_manipulation_of_infoset,
+    dominant_preference,
     enumerate_conditional_equilibria,
     hypercube,
     induced_votes,
@@ -98,6 +99,9 @@ def test_all_profiles_count_and_cap():
     assert len(ABC.all_profiles()) == 36
     with pytest.raises(SizeLimit):
         ABC.all_profiles(max_profiles=10)
+    with pytest.raises(SizeLimit, match="exceed the cap of 10"):
+        dominant_preference(Plurality(pref("a>b>c")), ABC, 1, pref("a>b>c"),
+                            pref("b>a>c"), max_profiles=10)
 
 
 def test_make_model_sorts_blocks_by_first_state():

@@ -3,7 +3,11 @@
 import itertools
 import random
 
+from hypothesis import given, settings
+
+from conftest import pointed_models
 from epivote import (
+    KIND_ORDER,
     Election,
     KnowledgeProfile,
     Plurality,
@@ -14,6 +18,7 @@ from epivote import (
     is_manipulation,
     knows_manipulation,
     make_model,
+    manipulations,
     pessimistic_manipulation,
     pref,
     profile,
@@ -214,3 +219,34 @@ def test_classify_reads_the_considered_profiles_once(monkeypatch):
             a for a in orders if pessimistic_manipulation(kp, rule, i, a))
         assert rep.knows_de_re == knows_manipulation(kp, rule, i, "de_re")[0]
         assert rep.knows_de_dicto == knows_manipulation(kp, rule, i, "de_dicto")[0]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(m=pointed_models())
+def test_classify_agrees_with_each_notion(m):
+    """Every field of each report at the point equals the single-notion API,
+    and the kind is the first entry of KIND_ORDER that it makes hold."""
+    rule, kp, orders = Plurality(m.tiebreak), m.pointed(), m.election.orders()
+    for i in m.election.voters:
+        rep = classify(kp, rule, i)
+        alts = tuple(manipulations(rule, m.election, kp.truth(), i))
+        de_dicto = knows_manipulation(kp, rule, i, "de_dicto")
+        de_re = knows_manipulation(kp, rule, i, "de_re")
+        dominant = tuple(
+            a for a in orders if dominant_manipulation_of_infoset(kp, rule, i, a))
+        pessimistic = tuple(
+            a for a in orders if pessimistic_manipulation(kp, rule, i, a))
+        assert rep.manipulation_alts == alts
+        assert (rep.knows_de_dicto, rep.de_dicto_witnesses) == de_dicto
+        assert (rep.knows_de_re, rep.de_re_alts) == de_re
+        assert rep.dominant_alts == dominant
+        assert rep.pessimistic_alts == pessimistic
+        holds = {
+            "knows_de_re": de_re[0],
+            "knows_de_dicto": de_dicto[0],
+            "dominant_of_infoset": bool(dominant),
+            "pessimistic": bool(pessimistic),
+            "has_manipulation": bool(alts),
+            "none": True,
+        }
+        assert rep.kind == next(k for k in KIND_ORDER if holds[k])
