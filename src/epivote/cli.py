@@ -333,7 +333,7 @@ def cmd_preserve(args) -> int:
     F = rule_for(m)
     phi = logic.parse(args.formula, m.election)
     cp = None
-    if args.property in ("conditional_equilibrium", "not_conditional_equilibrium"):
+    if args.property in dynamics._PROFILE_PROPERTIES:
         cp = (_parse_conditional_profile(args.profile)
               if args.profile else games.sincere_conditional_profile(m))
     rep = dynamics.check_preservation(

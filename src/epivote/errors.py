@@ -43,7 +43,7 @@ class UnknownState(EpivoteError):
 
 
 class SizeLimit(EpivoteError):
-    """An enumeration would exceed the configured cap on profile/state counts."""
+    """An enumeration would exceed the cap ``model.SIZE_CAP`` on its item count."""
 
 
 class EmptySet(EpivoteError):

@@ -26,7 +26,6 @@ from typing import Iterator, NamedTuple
 
 from .errors import PartitionError, SizeLimit
 from .model import (
-    DEFAULT_MAX_STATES,
     Candidate,
     Election,
     InformationSet,
@@ -38,7 +37,7 @@ from .model import (
     make_model,
     ranks_every_candidate,
 )
-from .rules import VotingRule, _key_of, ballot_classes, ballot_space
+from .rules import VotingRule, _key_of, ballot_classes, ballot_count, ballot_space
 
 # cp[i-1][k] is the ballot voter i casts on her k-th block (model block order).
 ConditionalProfile = tuple[tuple[Preference, ...], ...]
@@ -297,19 +296,18 @@ def enumerate_conditional_equilibria(
     m: ProfileModel,
     F: VotingRule,
     by_top: bool = False,
-    max_profiles: int = DEFAULT_MAX_STATES,
 ) -> list[ConditionalProfile]:
     """All equilibria, in deterministic enumeration order.
 
     Order: ballots per block from ballot_space, blocks in model order, the
     later voter's strategy cycling fastest (see _search). Deviations try one
     ballot per class the rule tells apart (see is_conditional_equilibrium).
-    Raises SizeLimit, before any search, when the full product of
-    conditional profiles exceeds max_profiles.
+    Raises SizeLimit, before any ballot is built, when the full product of
+    conditional profiles exceeds the cap.
     """
-    space = ballot_space(m.election, by_top)
     n = sum(len(m.blocks(i)) for i in m.election.voters)
-    check_size(len(space) ** n, "conditional profiles", max_profiles)
+    check_size(ballot_count(m.election, by_top) ** n, "conditional profiles")
+    space = ballot_space(m.election, by_top)
     game = _Game(m, F)
     voters = [slice(a, b) for a, b in zip(game.bounds, game.bounds[1:])]
     out = []
@@ -382,8 +380,7 @@ def is_equilibrium_profile(
 
 
 def enumerate_equilibria(
-    F: VotingRule, e: Election, truth: Profile, by_top: bool = False,
-    max_profiles: int = DEFAULT_MAX_STATES,
+    F: VotingRule, e: Election, truth: Profile, by_top: bool = False
 ) -> list[Profile]:
     """All ballot profiles that are equilibria against the given truth.
 
@@ -393,7 +390,7 @@ def enumerate_equilibria(
     that read nothing but the top choices.
     """
     m = _one_state(e, truth)
-    cps = enumerate_conditional_equilibria(m, F, by_top, max_profiles)
+    cps = enumerate_conditional_equilibria(m, F, by_top)
     return [Profile(tuple(row[0] for row in cp)) for cp in cps]
 
 
@@ -483,7 +480,6 @@ def payoff_matrix(
     m: ProfileModel,
     F: VotingRule,
     by_top: bool = True,
-    max_profiles: int = DEFAULT_MAX_STATES,
 ) -> PayoffMatrix:
     """Full winners/payoff grids with equilibrium flags, two voters only.
 
@@ -498,9 +494,9 @@ def payoff_matrix(
     e = m.election
     if e.num_voters != 2:
         raise SizeLimit("matrix display needs exactly two voters")
-    space = ballot_space(e, by_top)
     n1, n2 = len(m.blocks(1)), len(m.blocks(2))
-    check_size(len(space) ** (n1 + n2), "cells", max_profiles)
+    check_size(ballot_count(e, by_top) ** (n1 + n2), "cells")
+    space = ballot_space(e, by_top)
     rows = list(itertools.product(space, repeat=n1))
     cols = list(itertools.product(space, repeat=n2))
     game = _Game(m, F)

@@ -52,7 +52,6 @@ from .errors import (
 )
 from .games import ConditionalProfile, _blocks_at, _Game
 from .model import (
-    DEFAULT_MAX_STATES,
     RESERVED_WORDS,
     Candidate,
     Election,
@@ -563,7 +562,6 @@ def expand_abbreviations(
     phi: Formula,
     e: Election,
     F: VotingRule | None,
-    max_profiles: int = DEFAULT_MAX_STATES,
 ) -> Formula:
     """Rewrite every derived atom to a disjunction of profile atoms.
 
@@ -573,7 +571,7 @@ def expand_abbreviations(
     election, and exponentially larger; exists to pin the derived atoms to
     their definitions, not for regular use.
     """
-    profiles = e.all_profiles(max_profiles)
+    profiles = e.all_profiles()
 
     def dis(selected) -> Formula:
         chosen = [ProfileAtom(p) for p in selected]
@@ -803,7 +801,6 @@ def formula_dominant_manipulation(
     F: VotingRule,
     i: Voter,
     alt: Preference,
-    max_profiles: int = DEFAULT_MAX_STATES,
 ) -> Formula:
     """alt weakly beats every ballot everywhere and beats sincerity somewhere.
 
@@ -811,7 +808,7 @@ def formula_dominant_manipulation(
     cases over the state's possible i-rankings, since "better than voting
     sincerely" depends on what the sincere ballot is at the state.
     """
-    profiles = e.all_profiles(max_profiles)
+    profiles = e.all_profiles()
     weak = big_and(
         Not(CompAtom(i, F.winner(e, p), F.winner(e, p.replace(i, alt))))
         for p in profiles
@@ -835,11 +832,9 @@ def formula_dominant_manipulation(
     return And(weak, strict)
 
 
-def formula_knows_de_dicto(
-    e: Election, F: VotingRule, i: Voter, max_profiles: int = DEFAULT_MAX_STATES
-) -> Formula:
+def formula_knows_de_dicto(e: Election, F: VotingRule, i: Voter) -> Formula:
     """i knows that whatever the profile is, some ballot manipulates it."""
-    profiles = e.all_profiles(max_profiles)
+    profiles = e.all_profiles()
     body = big_and(
         Implies(ProfileAtom(p), formula_has_manipulation(e, F, i, p))
         for p in profiles
@@ -847,11 +842,9 @@ def formula_knows_de_dicto(
     return Know(i, body)
 
 
-def formula_knows_de_re(
-    e: Election, F: VotingRule, i: Voter, max_profiles: int = DEFAULT_MAX_STATES
-) -> Formula:
+def formula_knows_de_re(e: Election, F: VotingRule, i: Voter) -> Formula:
     """Some single ballot manipulates every profile i considers possible."""
-    profiles = e.all_profiles(max_profiles)
+    profiles = e.all_profiles()
     return big_or(
         Know(
             i,

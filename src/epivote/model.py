@@ -32,7 +32,8 @@ Voter = int
 # considers possible, in file order.
 InformationSet = tuple[str, ...]
 
-DEFAULT_MAX_STATES = 10**6
+# The most items any enumeration may hold; check_size alone reads it.
+SIZE_CAP = 10**6
 
 # A candidate name is a word of the formula language other than a reserved
 # word, so every model can be written out and read back and every candidate
@@ -41,11 +42,11 @@ _CANDIDATE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 RESERVED_WORDS = frozenset({"K", "true", "false", "profile", "pref", "wins"})
 
 
-def check_size(total: int, what: str, cap: int) -> None:
+def check_size(total: int, what: str) -> None:
     """Raise SizeLimit when an enumeration of total items (named by what in
-    the message) would exceed cap; callers count before they build."""
-    if total > cap:
-        raise SizeLimit(f"{total} {what} exceed the cap of {cap}")
+    the message) would exceed SIZE_CAP; callers count before they build."""
+    if total > SIZE_CAP:
+        raise SizeLimit(f"{total} {what} exceed the cap of {SIZE_CAP}")
 
 
 def check_candidate_names(candidates) -> None:
@@ -84,13 +85,14 @@ class Election:
 
     @cached_property
     def _orders(self) -> tuple["Preference", ...]:
+        check_size(math.factorial(len(self.candidates)), "ballots")
         return tuple(
             Preference(p) for p in itertools.permutations(self.candidates))
 
-    def all_profiles(self, max_profiles: int = DEFAULT_MAX_STATES) -> list["Profile"]:
+    def all_profiles(self) -> list["Profile"]:
         """Every assignment of a linear order to each voter: (m!)^n profiles."""
         check_size(math.factorial(len(self.candidates)) ** self.num_voters,
-                   "profiles", max_profiles)
+                   "profiles")
         orders = self.orders()
         return [
             Profile(combo)
@@ -466,15 +468,14 @@ def restrict(m: ProfileModel, keep) -> ProfileModel:
 def hypercube(
     election: Election,
     tiebreak: Preference | None = None,
-    max_states: int = DEFAULT_MAX_STATES,
 ) -> ProfileModel:
     """The model of total mutual ignorance: one state per possible profile.
 
     Each voter knows exactly her own preference, so her blocks group the
     (m!)^n states by her component. Raises SizeLimit when the state count
-    would exceed ``max_states``.
+    would exceed the cap (see check_size).
     """
-    profiles = election.all_profiles(max_profiles=max_states)
+    profiles = election.all_profiles()
     states = tuple(_hypercube_label(p) for p in profiles)
     partitions: dict[Voter, list[list[str]]] = {}
     for voter in election.voters:

@@ -96,7 +96,7 @@ def parse_model(text: str, validate: bool = True) -> ProfileModel:
                 raise ModelSyntaxError(lineno, f"no voter {voter}")
             if voter in indist:
                 raise ModelSyntaxError(lineno, f"duplicate indist for voter {voter}")
-            indist[voter] = _parse_blocks(lineno, rest, states)
+            indist[voter] = _parse_blocks(lineno, rest)
             indist_lines[voter] = lineno
         elif keyword == "point":
             point = rest.strip()
@@ -201,7 +201,7 @@ def _parse_voter_key(lineno: int, key: str) -> int:
         raise ModelSyntaxError(lineno, f"bad voter {parts[1]!r}")
 
 
-def _parse_blocks(lineno: int, text: str, states) -> list[tuple[str, ...]]:
+def _parse_blocks(lineno: int, text: str) -> list[tuple[str, ...]]:
     blocks: list[tuple[str, ...]] = []
     rest = text.strip()
     while rest:

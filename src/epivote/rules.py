@@ -18,7 +18,6 @@ from typing import Protocol, runtime_checkable
 
 from .errors import MissingTiebreak, UnknownVoter
 from .model import (
-    DEFAULT_MAX_STATES,
     Candidate,
     Election,
     Preference,
@@ -87,7 +86,8 @@ def rule_for(m_or_tiebreak) -> Plurality:
     tiebreak = getattr(m_or_tiebreak, "tiebreak", m_or_tiebreak)
     if tiebreak is None:
         raise MissingTiebreak(
-            "plurality needs a tiebreak order; the model declares none"
+            "plurality needs a tiebreak order; the model declares none "
+            "(add a 'tiebreak:' line; hypercube --tiebreak writes one)"
         )
     return Plurality(tiebreak)
 
@@ -111,7 +111,6 @@ def dominant_preference(
     i: Voter,
     truth: Preference,
     alt: Preference,
-    max_profiles: int = DEFAULT_MAX_STATES,
 ) -> bool:
     """Is alt a weakly dominant ballot for voter i whose real preference is truth?
 
@@ -122,8 +121,7 @@ def dominant_preference(
     """
     if i not in e.voters:
         raise UnknownVoter(f"no voter {i} in 1..{e.num_voters}")
-    check_size(math.factorial(len(e.candidates)) ** e.num_voters, "profiles",
-               max_profiles)
+    check_size(ballot_count(e, False) ** e.num_voters, "profiles")
     orders = e.orders()
     strict_somewhere = False
     for others in itertools.product(orders, repeat=e.num_voters - 1):
@@ -135,6 +133,12 @@ def dominant_preference(
         if truth.prefers(with_alt, F.winner(e, sincere)):
             strict_somewhere = True
     return strict_somewhere
+
+
+def ballot_count(e: Election, by_top: bool) -> int:
+    """len(ballot_space(e, by_top)), counted without building a ballot."""
+    m = len(e.candidates)
+    return m if by_top else math.factorial(m)
 
 
 def ballot_space(e: Election, by_top: bool) -> list[Preference]:

@@ -244,6 +244,18 @@ def test_hypercube_tiebreak_separators(capsys, tmp_path, form):
     assert len(m.states) == 4
 
 
+def test_cube_without_tiebreak_error_names_the_option(capsys, tmp_path):
+    out_file = tmp_path / "cube.model"
+    code, _, _ = run(capsys, "hypercube", "--candidates", "a,b,c",
+                     "--voters", "2", "-o", str(out_file))
+    assert code == 0
+    code, out, err = run(capsys, "equilibria", str(out_file), "--by-top")
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "--tiebreak" in lines[0]
+
+
 def test_hypercube_bad_tiebreak(capsys):
     code, _, err = run(capsys, "hypercube", "--candidates", "a,b",
                        "--voters", "1", "--tiebreak", "x>y")

@@ -379,6 +379,27 @@ def test_over_cap_grid_refuses_before_building():
     assert peak < 10 ** 6
 
 
+@pytest.mark.parametrize("build, what", [
+    (enumerate_conditional_equilibria, "conditional profiles"),
+    (payoff_matrix, "cells"),
+])
+def test_over_cap_full_ballots_refused_before_building(build, what):
+    """9! ballots per voter on one state: 9!^2 strategy pairs, refused
+    before the 9! ballots are built."""
+    e = Election(tuple("abcdefghi"), 2)
+    ballot = Preference(e.candidates)
+    m = make_model(e, ["s"], [Profile((ballot, ballot))], tiebreak=ballot)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimit) as err:
+            build(m, Plurality(ballot), by_top=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"131681894400 {what} exceed the cap of 1000000"
+    assert peak < 10 ** 6
+
+
 _ABC, _ACB, _BAC = pref("a>b>c"), pref("a>c>b"), pref("b>a>c")
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -95,13 +96,28 @@ def test_identifier_candidate_names_are_accepted():
     assert Election(("_x", "B2", "long_name"), 1).candidates[2] == "long_name"
 
 
-def test_all_profiles_count_and_cap():
+def test_all_profiles_count_and_cap(monkeypatch):
     assert len(ABC.all_profiles()) == 36
+    monkeypatch.setattr("epivote.model.SIZE_CAP", 10)
     with pytest.raises(SizeLimit):
-        ABC.all_profiles(max_profiles=10)
+        ABC.all_profiles()
     with pytest.raises(SizeLimit, match="exceed the cap of 10"):
         dominant_preference(Plurality(pref("a>b>c")), ABC, 1, pref("a>b>c"),
-                            pref("b>a>c"), max_profiles=10)
+                            pref("b>a>c"))
+
+
+def test_ballot_list_refuses_before_building():
+    """10! ballots are counted and refused before one is built."""
+    e = Election(tuple("abcdefghij"), 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimit) as err:
+            e.orders()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "3628800 ballots exceed the cap of 1000000"
+    assert peak < 10 ** 6
 
 
 def test_make_model_sorts_blocks_by_first_state():
