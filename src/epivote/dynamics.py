@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import EmptyResult, UnknownState
-from .games import ConditionalProfile, is_conditional_equilibrium, strategy_label
+from .games import ConditionalProfile, _Game, strategy_label
 from .logic import Formula, ProfileAtom, big_or, denotation, to_text
 from .model import (
     Election,
@@ -23,6 +23,7 @@ from .model import (
     Profile,
     ProfileModel,
     Voter,
+    check_size,
     make_model,
     restrict,
 )
@@ -138,12 +139,18 @@ def check_preservation(
     return PreservationReport(property, before[0], after[0], before[1], after[1], upd)
 
 
-def _holds(m: ProfileModel, F, property: str, voter, cp) -> tuple[bool, object]:
-    """Whether the property holds on m, and its witness."""
+def _holds(
+    m: ProfileModel, F, property: str, voter, cp, game: _Game | None = None
+) -> tuple[bool, object]:
+    """Whether the property holds on m, and its witness.
+
+    The profile properties read game, m's game under F, built here when
+    None; a caller checking several profiles on one model passes one game.
+    """
     if property in _PROFILE_PROPERTIES:
         if cp is None:
             raise ValueError(f"property {property!r} needs a conditional profile")
-        eq, blocker = is_conditional_equilibrium(m, F, cp)
+        eq, blocker = (_Game(m, F) if game is None else game).equilibrium(cp)
         return (not eq if property == "not_conditional_equilibrium" else eq), blocker
     if voter is None:
         raise ValueError(f"property {property!r} needs a voter")
@@ -157,11 +164,14 @@ def _holds(m: ProfileModel, F, property: str, voter, cp) -> tuple[bool, object]:
     return (bool(alts), alts)
 
 
-def _holds_after(m, upd: UpdateResult, F, property, voter, cp) -> tuple[bool, object]:
-    """_holds on the updated model, with cp carried across the update."""
+def _holds_after(
+    m, upd: UpdateResult, F, property, voter, cp, game: _Game | None = None
+) -> tuple[bool, object]:
+    """_holds on the updated model (game is its game, as for _holds), with
+    cp carried across the update."""
     if property in _PROFILE_PROPERTIES:
         cp = update_conditional_profile(m, cp, upd)
-    return _holds(upd.model, F, property, voter, cp)
+    return _holds(upd.model, F, property, voter, cp, game)
 
 
 # ------------------------------------------------------- seeded random hunts
@@ -177,33 +187,37 @@ def random_model(
     Partitions are built by randomly splitting, per voter, the groups of
     states that share that voter's preference, so the result always
     satisfies the own-preference constraint. The tiebreak order is drawn at
-    random unless one is supplied. Raises ValueError when max_states < 2.
+    random unless one is supplied. Raises ValueError when max_states < 2,
+    and SizeLimit, before any draw, when max_states exceeds the size cap.
     """
     if max_states < 2:
         raise ValueError(f"max_states must be at least 2, got {max_states}")
+    check_size(max_states, "states")
     if e is None:
         e = Election(("a", "b", "c"), 2)
     orders = e.orders()
     count = rng.randint(2, max_states)
     states = tuple(f"s{j}" for j in range(count))
-    profiles = {
-        s: Profile(tuple(rng.choice(orders) for _ in range(e.num_voters)))
-        for s in states
-    }
+    profiles = [
+        Profile(tuple(rng.choice(orders) for _ in range(e.num_voters)))
+        for _ in states
+    ]
     partitions = {}
     for i in e.voters:
-        groups: dict[Preference, list[str]] = {}
-        for s in states:
-            groups.setdefault(profiles[s].pref(i), []).append(s)
+        # state positions, so each block and the block list come out sorted
+        # as make_model orders them
+        groups: dict[Preference, list[int]] = {}
+        for k, p in enumerate(profiles):
+            groups.setdefault(p.prefs[i - 1], []).append(k)
         blocks = []
         for members in groups.values():
-            members = members[:]
             rng.shuffle(members)
             while members:
                 take = rng.randint(1, len(members))
-                blocks.append(members[:take])
+                blocks.append(sorted(members[:take]))
                 members = members[take:]
-        partitions[i] = blocks
+        blocks.sort()
+        partitions[i] = [[states[k] for k in block] for block in blocks]
     return make_model(
         e,
         states,
@@ -229,11 +243,7 @@ def random_announcement(
         chosen.append(m.point)
     if not chosen:
         chosen = [rng.choice(pool)]
-    seen: list[Profile] = []
-    for s in chosen:
-        p = m.profile_at(s)
-        if p not in seen:
-            seen.append(p)
+    seen = dict.fromkeys(m.profile_at(s) for s in chosen)
     return big_or(ProfileAtom(p) for p in seen)
 
 
@@ -278,7 +288,10 @@ def search_counterexample(
     knowledge properties are preserved by every truthful announcement, so
     hunting them documents that fact by exhausting the budget. Deterministic
     given the seed; with F supplied its tiebreak is used for every model,
-    otherwise each model draws its own. Raises ValueError when budget < 1.
+    otherwise each model draws its own. The conditional-profile properties
+    check every drawn profile on one game per model, and one per updated
+    model. Raises ValueError when budget < 1 or max_states < 2, and
+    SizeLimit when max_states exceeds the size cap.
     """
     if property not in PROPERTIES:
         raise ValueError(f"unknown property {property!r}; choose from {PROPERTIES}")
@@ -296,16 +309,19 @@ def search_counterexample(
         kept = denotation(m, rule, phi)
         if len(kept) == len(m.states):
             continue  # identity update, nothing can break
+        game = upd = after = None
         if pointed:
             cases = [(rng.choice(list(e.voters)), None)]
         else:
             cases = [(None, random_conditional_profile(rng, m)) for _ in range(12)]
-        upd = None  # built the first time the property holds before
+            game = _Game(m, rule)
         for voter, cp in cases:
-            if not _holds(m, rule, property, voter, cp)[0]:
+            if not _holds(m, rule, property, voter, cp, game)[0]:
                 continue
-            upd = upd or _updated(m, kept)
-            if _holds_after(m, upd, rule, property, voter, cp)[0]:
+            if upd is None:  # built the first time the property holds before
+                upd = _updated(m, kept)
+                after = None if pointed else _Game(upd.model, rule)
+            if _holds_after(m, upd, rule, property, voter, cp, after)[0]:
                 continue
             if pointed:
                 who = f"voter {voter} at point {m.point}"

@@ -242,6 +242,17 @@ class _Game:
         cuts = zip(self.bounds, self.bounds[1:])
         return _joined(won), ".".join("".join(digits[a:b]) for a, b in cuts)
 
+    def equilibrium(
+        self, cp: ConditionalProfile
+    ) -> tuple[bool, tuple[VirtualVoter, Preference] | None]:
+        """is_conditional_equilibrium of cp on this game's model and rule."""
+        keys = self.keys_of(cp)
+        for p in self.players():
+            alt = _first_improvement(self, p, keys)
+            if alt is not None:
+                return False, (VirtualVoter(p.voter, p.block), alt)
+        return True, None
+
 
 def _first_improvement(game: _Game, p: _Player, keys) -> Preference | None:
     """The first ballot in e.orders() that raises p's worst-case rank, or None.
@@ -283,13 +294,7 @@ def is_conditional_equilibrium(
     same as if all m! ballots were tried. Raises ValueError when cp does not
     have one row per voter and one ballot per information set.
     """
-    game = _Game(m, F)
-    keys = game.keys_of(cp)
-    for p in game.players():
-        alt = _first_improvement(game, p, keys)
-        if alt is not None:
-            return False, (VirtualVoter(p.voter, p.block), alt)
-    return True, None
+    return _Game(m, F).equilibrium(cp)
 
 
 def enumerate_conditional_equilibria(

@@ -421,18 +421,27 @@ def _fmt_unary(phi: Formula) -> str:
 
 def check_formula(phi: Formula, e: Election) -> None:
     """Raise if the formula mentions voters or candidates outside e."""
-    match phi:
-        case ProfileAtom(profile=p):
-            if len(p.prefs) != e.num_voters:
+    # the commonest nodes by an exact type test, which is cheaper than match
+    t = type(phi)
+    if t is Not:
+        return check_formula(phi.sub, e)
+    if t is And:
+        check_formula(phi.left, e)
+        return check_formula(phi.right, e)
+    if t is ProfileAtom:
+        p = phi.profile
+        if len(p.prefs) != e.num_voters:
+            raise IncompleteProfileAtom(
+                f"profile atom has {len(p.prefs)} voters, "
+                f"expected {e.num_voters}"
+            )
+        for r in p.prefs:
+            if not ranks_every_candidate(r.order, e.candidates):
                 raise IncompleteProfileAtom(
-                    f"profile atom has {len(p.prefs)} voters, "
-                    f"expected {e.num_voters}"
+                    f"profile atom ranking {r.as_text()} incomplete"
                 )
-            for r in p.prefs:
-                if not ranks_every_candidate(r.order, e.candidates):
-                    raise IncompleteProfileAtom(
-                        f"profile atom ranking {r.as_text()} incomplete"
-                    )
+        return
+    match phi:
         case PrefAtom(voter=i, order=r):
             _need_voter(i, e)
             if not ranks_every_candidate(r.order, e.candidates):
@@ -447,11 +456,6 @@ def check_formula(phi: Formula, e: Election) -> None:
             _need_candidate(c, e)
         case Top():
             pass
-        case Not(sub=sub):
-            check_formula(sub, e)
-        case And(left=l, right=r):
-            check_formula(l, e)
-            check_formula(r, e)
         case Know(voter=i, sub=sub):
             _need_voter(i, e)
             check_formula(sub, e)
@@ -516,15 +520,18 @@ def _eval(
     every live set but the caller's is a memo value, so no id is reused
     during the call.
     """
-    # connectives first: most nodes a check visits are connectives
+    # most nodes a check visits are connectives and profile atoms (every
+    # disjunction is ~(~a & ~b)); an exact type test finds them faster
+    # than match
+    t = type(phi)
+    if t is Not:
+        return not _eval(m, s, F, phi.sub, live, memo)
+    if t is And:
+        return (_eval(m, s, F, phi.left, live, memo)
+                and _eval(m, s, F, phi.right, live, memo))
+    if t is ProfileAtom:
+        return m.profile_at(s) == phi.profile
     match phi:
-        case Not(sub=sub):
-            return not _eval(m, s, F, sub, live, memo)
-        case And(left=l, right=r):
-            return (_eval(m, s, F, l, live, memo)
-                    and _eval(m, s, F, r, live, memo))
-        case ProfileAtom(profile=p):
-            return m.profile_at(s) == p
         case PrefAtom(voter=i, order=r):
             return m.profile_at(s).pref(i) == r
         case CompAtom(voter=i, better=a, worse=b):

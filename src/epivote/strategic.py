@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .model import KnowledgeProfile, Preference, Profile, Voter
-from .rules import VotingRule, is_manipulation
+from .rules import VotingRule, _key_of, ballot_classes, is_manipulation
 
 
 def knows_manipulation(
@@ -68,22 +68,34 @@ def _considered(kp: KnowledgeProfile, i: Voter) -> list[Profile]:
 # The helpers below take the considered profiles, so classify reads them once.
 
 def _knows(e, F: VotingRule, i: Voter, considered: list[Profile], mode: str):
-    alts = e.orders()
+    """knows_manipulation on the considered profiles.
+
+    Ballots with equal keys under F win alike (see ballot_classes), so each
+    profile's helping ballots are found from its sincere winner and one
+    deviated winner per class, then listed in e.orders() order.
+    """
+    alts, key = e.orders(), _key_of(F)
+    classes = ballot_classes(F, alts)
+
+    def helping(p: Profile) -> set:
+        truth, sincere = p.pref(i), F.winner(e, p)
+        return {k for k, alt in classes
+                if truth.prefers(F.winner(e, p.replace(i, alt)), sincere)}
+
     if mode == "de_dicto":
         witnesses: dict[Profile, tuple[Preference, ...]] = {}
         for p in considered:
-            working = tuple(
-                alt for alt in alts if is_manipulation(F, e, p, i, alt)
-            )
+            working = helping(p)
             if not working:
                 return False, {}
-            witnesses[p] = working
+            witnesses[p] = tuple(alt for alt in alts if key(alt) in working)
         return True, witnesses
-    uniform = tuple(
-        alt
-        for alt in alts
-        if all(is_manipulation(F, e, p, i, alt) for p in considered)
-    )
+    common = {k for k, _ in classes}
+    for p in considered:
+        common &= helping(p)
+        if not common:
+            break
+    uniform = tuple(alt for alt in alts if key(alt) in common)
     return bool(uniform), uniform
 
 

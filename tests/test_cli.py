@@ -371,7 +371,8 @@ def test_hunt_exhausted_exits_one(capsys):
 
 @pytest.mark.parametrize("flags", [
     ["--budget", "-3"], ["--budget", "0"], ["--max-states", "1"],
-], ids=["negative-budget", "zero-budget", "one-state"])
+    ["--max-states", "1000000000", "--budget", "3"],
+], ids=["negative-budget", "zero-budget", "one-state", "over-cap-states"])
 def test_hunt_rejects_bad_bounds(capsys, flags):
     code, out, err = run(capsys, "hunt", "--property", "conditional_equilibrium",
                          *flags)

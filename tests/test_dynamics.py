@@ -5,13 +5,14 @@ import random
 
 import pytest
 
-from epivote import dynamics
+from epivote import dynamics, games
 from epivote import (
     EmptyResult,
     MissingTiebreak,
     Plurality,
     PROPERTIES,
     ProfileModel,
+    SizeLimit,
     VirtualVoter,
     check_preservation,
     conditional_profile,
@@ -222,7 +223,7 @@ def test_hunts_update_once_per_attempt(monkeypatch, prop):
     """One denotation per attempt, however many profiles, and one restricted
     model per attempt at which the property held before the announcement."""
     before = search_counterexample(prop, F=F, seed=4, budget=50)
-    _, held = old_search_counterexample(prop, F=F, seed=4, budget=50)
+    _, _, held = old_search_counterexample(prop, F=F, seed=4, budget=50)
     calls = {"denotation": 0, "restrict": 0}
     for name in calls:
         real = getattr(dynamics, name)
@@ -236,6 +237,57 @@ def test_hunts_update_once_per_attempt(monkeypatch, prop):
     assert calls == {"denotation": hit.tries, "restrict": held}
     assert (hit.found, hit.tries, hit.detail) == (
         before.found, before.tries, before.detail)
+
+
+def count_games(monkeypatch) -> list:
+    """Record one entry per games._Game built."""
+    built = []
+    real = games._Game.__init__
+
+    def counted(self, *args):
+        built.append(None)
+        real(self, *args)
+
+    monkeypatch.setattr(games._Game, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("prop", ["conditional_equilibrium",
+                                  "not_conditional_equilibrium"])
+def test_hunts_build_one_game_per_model(monkeypatch, prop):
+    """One game per drawn model that reaches the property check, and one
+    per updated model, however many of the 12 profiles are checked."""
+    args = dict(F=F, seed=4, budget=50)
+    _, checked, held = old_search_counterexample(prop, **args)
+    built = count_games(monkeypatch)
+    search_counterexample(prop, **args)
+    assert held > 0 and len(built) == checked + held
+
+
+def test_preservation_builds_one_game_per_model(hidden_flip, monkeypatch):
+    cp = conditional_profile(hidden_flip, {
+        1: {"t": pref("b>a>c"), "u": pref("c>b>a")},
+        2: {"t": pref("b>c>a")},
+    })
+    built = count_games(monkeypatch)
+    rep = check_preservation(hidden_flip, F, parse("1: a>c", hidden_flip.election),
+                             "conditional_equilibrium", cp=cp)
+    assert rep.held_before and len(built) == 2
+
+
+def test_hunt_state_cap_is_checked_before_any_draw():
+    """An over-cap max_states is refused at once, with the generator
+    untouched, instead of drawing models of up to that many states."""
+    rng = random.Random(0)
+    state = rng.getstate()
+    over = r"^1000000000 states exceed the cap of 1000000$"
+    with pytest.raises(SizeLimit, match=over):
+        random_model(rng, max_states=10**9)
+    assert rng.getstate() == state
+    with pytest.raises(SizeLimit, match=over):
+        search_counterexample("knowledge_de_re", budget=3, max_states=10**9)
+    with pytest.raises(ValueError, match="at least 2"):
+        random_model(rng, max_states=1)
 
 
 def test_unknown_property_rejected(hidden_flip):

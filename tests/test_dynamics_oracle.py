@@ -1,4 +1,4 @@
-"""The counterexample hunt against the loop it replaced.
+"""The counterexample hunt and its random draws against the code they replaced.
 
 ``old_search_counterexample`` is the hunt that announced on every attempt:
 it builds the updated model (``update``) whether or not the announcement
@@ -7,6 +7,12 @@ voter or conditional profile it draws. The hunt now makes one denotation
 per attempt and builds and checks the updated model only where the property
 held before. Both must draw the same random numbers and report the same
 witness.
+
+The hunt oracle draws with the library's own ``random_model`` and
+``random_announcement``, so those are checked here against
+``old_random_model`` and ``old_random_announcement``, which group states by
+name, leave the ordering of blocks to ``make_model`` and remove duplicate
+profiles by a list scan.
 """
 
 import itertools
@@ -17,7 +23,11 @@ from epivote import (
     HuntResult,
     Plurality,
     PROPERTIES,
+    Profile,
+    ProfileAtom,
+    big_or,
     is_conditional_equilibrium,
+    make_model,
     pref,
     search_counterexample,
     to_text,
@@ -40,6 +50,81 @@ ELECTIONS = (
     Election(("a", "b", "c"), 3),
     Election(("a", "b", "c", "d"), 2),
 )
+
+
+def old_random_model(rng, e=None, max_states=4, tiebreak=None):
+    """random_model as it was: states grouped by name, blocks sorted by
+    make_model."""
+    if max_states < 2:
+        raise ValueError(f"max_states must be at least 2, got {max_states}")
+    if e is None:
+        e = Election(("a", "b", "c"), 2)
+    orders = e.orders()
+    count = rng.randint(2, max_states)
+    states = tuple(f"s{j}" for j in range(count))
+    profiles = {
+        s: Profile(tuple(rng.choice(orders) for _ in range(e.num_voters)))
+        for s in states
+    }
+    partitions = {}
+    for i in e.voters:
+        groups = {}
+        for s in states:
+            groups.setdefault(profiles[s].pref(i), []).append(s)
+        blocks = []
+        for members in groups.values():
+            members = members[:]
+            rng.shuffle(members)
+            while members:
+                take = rng.randint(1, len(members))
+                blocks.append(members[:take])
+                members = members[take:]
+        partitions[i] = blocks
+    return make_model(
+        e,
+        states,
+        profiles,
+        partitions,
+        tiebreak=tiebreak if tiebreak is not None else rng.choice(orders),
+        point=rng.choice(states),
+    )
+
+
+def old_random_announcement(rng, m, keep_point=True):
+    """random_announcement as it was: duplicate profiles removed by a list
+    scan."""
+    pool = list(m.states)
+    chosen = [s for s in pool if rng.random() < 0.5]
+    if keep_point and m.point is not None and m.point not in chosen:
+        chosen.append(m.point)
+    if not chosen:
+        chosen = [rng.choice(pool)]
+    seen = []
+    for s in chosen:
+        p = m.profile_at(s)
+        if p not in seen:
+            seen.append(p)
+    return big_or(ProfileAtom(p) for p in seen)
+
+
+def test_draws_match_the_old_draws():
+    """Same model, same announcement and the same generator state after
+    each, for three elections, max_states 2-6, a drawn or a fixed tiebreak,
+    and announcements with and without the point: 4,500 draws of each."""
+    for e, max_states in itertools.product(ELECTIONS, range(2, 7)):
+        for seed in range(300):
+            tiebreak = pref(">".join(e.candidates)) if seed % 2 else None
+            new, old = random.Random(seed), random.Random(seed)
+            m = random_model(new, e, max_states, tiebreak=tiebreak)
+            expected = old_random_model(old, e, max_states, tiebreak=tiebreak)
+            assert m == expected, (e, max_states, seed)
+            assert write_model(m) == write_model(expected)
+            assert new.getstate() == old.getstate()
+            keep = seed % 3 != 0
+            phi = random_announcement(new, m, keep_point=keep)
+            assert to_text(phi) == to_text(
+                old_random_announcement(old, m, keep_point=keep))
+            assert new.getstate() == old.getstate()
 
 
 def old_preservation(m, F, upd, property, voter, cp):
@@ -72,16 +157,18 @@ def old_pointed_property(kp, F, property, i):
 
 def old_search_counterexample(property, e=None, F=None, seed=0, budget=2000,
                               max_states=4):
-    """The hunt's result, and how many attempts held the property before.
+    """The hunt's result, how many attempts checked the property, and how
+    many held it before.
 
-    An attempt counts when the property held before the announcement for at
-    least one of the voters or profiles it checked."""
+    An attempt checks the property when its announcement drops a state. It
+    holds the property when it held before the announcement for at least
+    one of the voters or profiles it checked."""
     if e is None:
         e = Election(("a", "b", "c"), 2)
     fixed_tiebreak = getattr(F, "tiebreak", None)
     rng = random.Random(seed)
     pointed = property in POINTED
-    held_attempts = 0
+    checked_attempts = held_attempts = 0
     for attempt in range(1, budget + 1):
         m = random_model(rng, e, max_states, tiebreak=fixed_tiebreak)
         rule = F if F is not None else Plurality(m.tiebreak)
@@ -89,6 +176,7 @@ def old_search_counterexample(property, e=None, F=None, seed=0, budget=2000,
         upd = update(m, phi, rule)
         if not upd.dropped:
             continue  # identity update, nothing can break
+        checked_attempts += 1
         if pointed:
             voter = rng.choice(list(e.voters))
             before, after = old_preservation(m, rule, upd, property, voter, None)
@@ -98,7 +186,7 @@ def old_search_counterexample(property, e=None, F=None, seed=0, budget=2000,
                     property, True, attempt, seed, m, phi,
                     f"voter {voter} at point {m.point}: holds before announcing "
                     f"{to_text(phi)}, fails after",
-                ), held_attempts
+                ), checked_attempts, held_attempts
             continue
         held = False
         for _ in range(12):
@@ -115,9 +203,9 @@ def old_search_counterexample(property, e=None, F=None, seed=0, budget=2000,
                     property, True, attempt, seed, m, phi,
                     f"conditional profile ({label}): holds before announcing "
                     f"{to_text(phi)}, fails after",
-                ), held_attempts
+                ), checked_attempts, held_attempts
     return HuntResult(property, False, budget, seed, None, None,
-                      "budget exhausted"), held_attempts
+                      "budget exhausted"), checked_attempts, held_attempts
 
 
 def observed(hit):
@@ -135,7 +223,7 @@ def test_hunts_match_the_announce_every_time_oracle():
         for seed in range(6):
             args = dict(e=e, F=F, seed=seed, budget=40, max_states=2 + seed % 4)
             hit = search_counterexample(prop, **args)
-            old, _ = old_search_counterexample(prop, **args)
+            old, _, _ = old_search_counterexample(prop, **args)
             assert observed(hit) == observed(old), (prop, args)
             found += hit.found
     # the comparison covers witnesses as well as exhausted budgets

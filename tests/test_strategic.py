@@ -6,6 +6,7 @@ import random
 from hypothesis import given, settings
 
 from conftest import pointed_models
+from test_games_oracle import Veto
 from epivote import (
     KIND_ORDER,
     Election,
@@ -24,6 +25,7 @@ from epivote import (
     profile,
     random_model,
 )
+from epivote.strategic import _knows
 
 E2 = Election(("a", "b", "c"), 2)
 F = Plurality(pref("b>a>c"))
@@ -250,3 +252,74 @@ def test_classify_agrees_with_each_notion(m):
             "none": True,
         }
         assert rep.kind == next(k for k in KIND_ORDER if holds[k])
+
+
+def old_knows(e, F, i, considered, mode):
+    """_knows as it was: every ballot of e.orders() tried in every
+    considered profile, with is_manipulation."""
+    alts = e.orders()
+    if mode == "de_dicto":
+        witnesses = {}
+        for p in considered:
+            working = tuple(
+                alt for alt in alts if is_manipulation(F, e, p, i, alt)
+            )
+            if not working:
+                return False, {}
+            witnesses[p] = working
+        return True, witnesses
+    uniform = tuple(
+        alt
+        for alt in alts
+        if all(is_manipulation(F, e, p, i, alt) for p in considered)
+    )
+    return bool(uniform), uniform
+
+
+def assert_knows_matches_the_oracle(m, points, voters) -> set:
+    """Verdicts and witnesses of both modes, de dicto witnesses in the same
+    dict order, under plurality and under the keyless veto rule. Returns
+    the (rule, mode) pairs that found a known manipulation."""
+    known = set()
+    for F in (Plurality(m.tiebreak), Veto(m.tiebreak)):
+        for s, i in itertools.product(points, voters):
+            considered = m.profiles_of(m.block_of(i, s))
+            for mode in ("de_dicto", "de_re"):
+                got = _knows(m.election, F, i, considered, mode)
+                want = old_knows(m.election, F, i, considered, mode)
+                assert got == want, (s, i, mode)
+                if mode == "de_dicto":
+                    assert list(got[1].items()) == list(want[1].items())
+                if got[0]:
+                    known.add((F.name, mode))
+    return known
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(m=pointed_models())
+def test_knows_matches_the_oracle_on_small_models(m):
+    assert_knows_matches_the_oracle(m, m.states, m.election.voters)
+
+
+def test_knows_matches_the_oracle_on_seeded_models():
+    """Models with several states per block, where both modes hold under
+    both rules, so witnesses are compared and not only empty verdicts."""
+    rng, known = random.Random(23), set()
+    for e in (E2, Election(("a", "b", "c", "d"), 2), Election(("a", "b", "c"), 3)):
+        for _ in range(100):
+            m = random_model(rng, e, max_states=5)
+            known |= assert_knows_matches_the_oracle(m, m.states, e.voters)
+    assert known == {(rule, mode) for rule in ("plurality", "veto")
+                     for mode in ("de_dicto", "de_re")}
+
+
+def test_knows_matches_the_oracle_on_the_cubes():
+    """Every state of the 3x3 cube and 48 seeded points of the 4x2 cube:
+    information sets of 36 and 24 profiles. Only veto's de dicto knowledge
+    holds on them."""
+    cube = hypercube(Election(("a", "b", "c"), 3), tiebreak=pref("b>a>c"))
+    assert_knows_matches_the_oracle(cube, cube.states, cube.election.voters)
+    cube = hypercube(Election(("a", "b", "c", "d"), 2), tiebreak=pref("c>a>d>b"))
+    points = random.Random(5).sample(cube.states, 48)
+    known = assert_knows_matches_the_oracle(cube, points, cube.election.voters)
+    assert known == {("veto", "de_dicto")}
