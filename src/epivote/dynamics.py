@@ -237,14 +237,20 @@ def random_announcement(
     set, making the announcement truthful there. The denotation can exceed
     the chosen set when other states carry the same profiles.
     """
+    return big_or(map(ProfileAtom, _announced_profiles(rng, m, keep_point)))
+
+
+def _announced_profiles(
+    rng: random.Random, m: ProfileModel, keep_point: bool
+) -> dict[Profile, None]:
+    """random_announcement's profiles, in disjunct order, as dict keys."""
     pool = list(m.states)
     chosen = [s for s in pool if rng.random() < 0.5]
     if keep_point and m.point is not None and m.point not in chosen:
         chosen.append(m.point)
     if not chosen:
         chosen = [rng.choice(pool)]
-    seen = dict.fromkeys(m.profile_at(s) for s in chosen)
-    return big_or(ProfileAtom(p) for p in seen)
+    return dict.fromkeys(m.profile_at(s) for s in chosen)
 
 
 def random_conditional_profile(
@@ -290,8 +296,10 @@ def search_counterexample(
     given the seed; with F supplied its tiebreak is used for every model,
     otherwise each model draws its own. The conditional-profile properties
     check every drawn profile on one game per model, and one per updated
-    model. Raises ValueError when budget < 1 or max_states < 2, and
-    SizeLimit when max_states exceeds the size cap.
+    model. Each announcement's kept states are read off its drawn profiles;
+    its formula is built only for the witness returned. Raises ValueError
+    when budget < 1 or max_states < 2, and SizeLimit when max_states
+    exceeds the size cap.
     """
     if property not in PROPERTIES:
         raise ValueError(f"unknown property {property!r}; choose from {PROPERTIES}")
@@ -305,8 +313,9 @@ def search_counterexample(
     for attempt in range(1, budget + 1):
         m = random_model(rng, e, max_states, tiebreak=fixed_tiebreak)
         rule = F if F is not None else Plurality(m.tiebreak)
-        phi = random_announcement(rng, m, keep_point=pointed)
-        kept = denotation(m, rule, phi)
+        drawn = _announced_profiles(rng, m, keep_point=pointed)
+        # the states random_announcement's formula would keep
+        kept = tuple(s for s in m.states if m.profile_at(s) in drawn)
         if len(kept) == len(m.states):
             continue  # identity update, nothing can break
         game = upd = after = None
@@ -328,6 +337,7 @@ def search_counterexample(
             else:
                 label = " / ".join(strategy_label(row, by_top=False) for row in cp)
                 who = f"conditional profile ({label})"
+            phi = big_or(map(ProfileAtom, drawn))
             return HuntResult(
                 property, True, attempt, seed, m, phi,
                 f"{who}: holds before announcing {to_text(phi)}, fails after",

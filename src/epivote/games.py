@@ -233,8 +233,10 @@ class _Game:
         return list(self.players())
 
     def outcome(self, keys: tuple) -> tuple[str, str]:
-        """(winners_string, payoff_string) of any conditional profile whose
-        slots hold ballots with these keys."""
+        """The winners string ('bbc': the winner at each state in file
+        order, joined as _joined does) and the payoff string ('11.1': the
+        worst-case rank per information set, voters separated by dots) of
+        any conditional profile whose slots hold ballots with these keys."""
         winner = self.winner
         won = [winner(tuple(map(keys.__getitem__, slots))) for slots in self.at]
         digits = [str(min(p.rank[won[si]] for si in p.states))
@@ -409,7 +411,7 @@ def _joined(names) -> str:
 def strategy_label(choices: tuple[Preference, ...], by_top: bool = True) -> str:
     """Row/column label: tops concatenated ('ac'), or full orders joined.
 
-    Tops are joined as winners are (see winners_string), so different
+    Tops are joined as winners are (see _Game.outcome), so different
     strategies never share a label.
     """
     if by_top:
@@ -417,29 +419,11 @@ def strategy_label(choices: tuple[Preference, ...], by_top: bool = True) -> str:
     return " ".join(p.as_text() for p in choices)
 
 
-def winners_string(m: ProfileModel, F: VotingRule, cp: ConditionalProfile) -> str:
-    """Winners at each state in file order, concatenated ('bbc'), or joined
-    with '-' when some candidate name is longer than one character."""
-    return _joined(induced_winners(m, F, cp))
-
-
-def payoff_string(m: ProfileModel, F: VotingRule, cp: ConditionalProfile) -> str:
-    """Worst-case ranks, one digit per block, voters separated by dots.
-
-    A two-voter model where voter 1 has two blocks and voter 2 has one reads
-    like '11.1': voter 1's blocks in model order, then voter 2's.
-    """
-    return ".".join(
-        "".join(str(payoff(m, F, cp, VirtualVoter(i, block)))
-                for block in m.blocks(i))
-        for i in m.election.voters
-    )
-
-
 def outcome_strings(
     m: ProfileModel, F: VotingRule, cps: list[ConditionalProfile]
 ) -> list[tuple[str, str]]:
-    """(winners_string, payoff_string) of each conditional profile.
+    """The winners and payoff strings (see _Game.outcome) of each
+    conditional profile.
 
     Profiles whose ballots have equal keys under F (see ballot_classes) have
     equal strings, so they are computed once per tuple of ballot keys.

@@ -37,7 +37,6 @@ size.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 
@@ -65,7 +64,7 @@ from .model import (
     ranks_every_candidate,
     validate_structure,
 )
-from .rules import VotingRule
+from .rules import VotingRule, ballot_classes
 
 
 @dataclass(frozen=True)
@@ -712,15 +711,13 @@ def characteristic_formula(
 
 def _characteristic_formulas(m: ProfileModel, targets) -> list[Formula]:
     """characteristic_formula's formulas for several targets of one model,
-    with one partition refinement and one class-formula table for all."""
+    with one partition refinement for all."""
     idxs = []
     for target in targets:
         if not target:
             raise EmptySet("target needs at least one state")
         idxs.append([m.index(s) for s in target])
-    rounds = _bisim_rounds(m)
-    cls = rounds[-1]
-    table = _class_formula_table(m, rounds)
+    cls, table = _refine(m)
     out = []
     for idx in idxs:
         target_classes = []
@@ -737,20 +734,32 @@ def _characteristic_formulas(m: ProfileModel, targets) -> list[Formula]:
     return out
 
 
-def _bisim_rounds(m: ProfileModel) -> list[list[int]]:
-    # class id = index of the first state in the class; round 0 groups by profile
+def _refine(m: ProfileModel) -> tuple[list[int], list[Formula]]:
+    """Each state's bisimulation class, named by the index of its first
+    state, and per state a formula true at exactly its class's states (see
+    characteristic_formula). Stops at the first round that splits nothing."""
+    voters = m.election.voters
     at = [_blocks_at(m, si) for si in range(len(m.states))]
     cls = _group(m.profiles)
-    rounds = [cls]
+    table: list[Formula] = [ProfileAtom(p) for p in m.profiles]
     while True:
-        seen = [[frozenset(cls[m.index(t)] for t in b) for b in m.blocks(i)]
-                for i in m.election.voters]
-        new = _group((cls[si], tuple(row[k] for row, k in zip(seen, ks)))
-                     for si, ks in enumerate(at))
+        # per voter and block, its members' classes in first-seen order
+        seen = [[list(dict.fromkeys(cls[m.index(t)] for t in b))
+                 for b in m.blocks(i)] for i in voters]
+        new = _group(
+            (cls[si], tuple(frozenset(row[k]) for row, k in zip(seen, ks)))
+            for si, ks in enumerate(at))
         if new == cls:
-            return rounds
-        cls = new
-        rounds.append(cls)
+            return cls, table
+        new_table: list[Formula] = []
+        for si, ks in enumerate(at):
+            parts = [table[si]]
+            for i, row, k in zip(voters, seen, ks):
+                for c in row[k]:
+                    parts.append(Not(Know(i, Not(table[c]))))
+                parts.append(Know(i, big_or(table[c] for c in row[k])))
+            new_table.append(big_and(parts))
+        cls, table = new, new_table
 
 
 def _group(keys) -> list[int]:
@@ -763,28 +772,6 @@ def _group(keys) -> list[int]:
     return out
 
 
-def _class_formula_table(
-    m: ProfileModel, rounds: list[list[int]]
-) -> list[Formula]:
-    # table[si] is true at exactly the states sharing si's final class
-    at = [_blocks_at(m, si) for si in range(len(m.states))]
-    table: list[Formula] = [ProfileAtom(p) for p in m.profiles]
-    for prev in rounds[:-1]:
-        # per voter and block, its members' classes in first-seen order
-        reps = [[list(dict.fromkeys(prev[m.index(t)] for t in b))
-                 for b in m.blocks(i)] for i in m.election.voters]
-        new_table: list[Formula] = []
-        for si, ks in enumerate(at):
-            parts = [table[si]]
-            for i, row, k in zip(m.election.voters, reps, ks):
-                for c in row[k]:
-                    parts.append(Not(Know(i, Not(table[c]))))
-                parts.append(Know(i, big_or(table[c] for c in row[k])))
-            new_table.append(big_and(parts))
-        table = new_table
-    return table
-
-
 # ---------------------------------------------------------- concept formulas
 
 def formula_manipulation_with(
@@ -794,12 +781,18 @@ def formula_manipulation_with(
     return CompAtom(i, F.winner(e, p.replace(i, alt)), F.winner(e, p))
 
 
+def _deviations(e: Election, F: VotingRule) -> list[Preference]:
+    """The first ballot of each class F tells apart (see ballot_classes):
+    the others in its class deviate to the same winners."""
+    return [alt for _, alt in ballot_classes(F, e.orders())]
+
+
 def formula_has_manipulation(
     e: Election, F: VotingRule, i: Voter, p: Profile
 ) -> Formula:
     """Some ballot beats sincerity at p, judged by the state's i-ranking."""
     return big_or(
-        formula_manipulation_with(e, F, i, p, alt) for alt in e.orders()
+        formula_manipulation_with(e, F, i, p, alt) for alt in _deviations(e, F)
     )
 
 
@@ -841,10 +834,11 @@ def formula_dominant_manipulation(
 
 def formula_knows_de_dicto(e: Election, F: VotingRule, i: Voter) -> Formula:
     """i knows that whatever the profile is, some ballot manipulates it."""
-    profiles = e.all_profiles()
+    alts = _deviations(e, F)
     body = big_and(
-        Implies(ProfileAtom(p), formula_has_manipulation(e, F, i, p))
-        for p in profiles
+        Implies(ProfileAtom(p), big_or(
+            formula_manipulation_with(e, F, i, p, alt) for alt in alts))
+        for p in e.all_profiles()
     )
     return Know(i, body)
 
@@ -862,17 +856,18 @@ def formula_knows_de_re(e: Election, F: VotingRule, i: Voter) -> Formula:
                 for p in profiles
             ),
         )
-        for alt in e.orders()
+        for alt in _deviations(e, F)
     )
 
 
 def formula_equilibrium(e: Election, F: VotingRule, p: Profile) -> Formula:
     """No voter's deviation from the vote profile p beats its winner,
     judged by each voter's ranking at the evaluation state."""
+    alts = _deviations(e, F)
     return big_and(
         Not(formula_manipulation_with(e, F, i, p, alt))
         for i in e.voters
-        for alt in e.orders()
+        for alt in alts
     )
 
 
@@ -881,35 +876,26 @@ def formula_conditional_equilibrium(
 ) -> Formula:
     """Valid on m exactly when cp is a conditional equilibrium.
 
-    One conjunct per combination of information sets (one per voter): the
-    conjunction of the sets' characteristic formulas guards, for every voter
-    and ballot, a comparison between the worst-case winners of the deviated
-    and the original conditional profile on that voter's set. Combinations
-    no state realizes are vacuously true on m. Indistinguishable propagates
-    from characteristic-formula construction.
+    One conjunct per virtual voter: her information set's characteristic
+    formula guards, for every ballot class but her own ballot's, a
+    comparison between her worst-case winners on that set under the
+    deviated and the original conditional profile. Indistinguishable
+    propagates from characteristic-formula construction.
     """
     e = m.election
     chars = _characteristic_formulas(
         m, [block for i in e.voters for block in m.blocks(i)])
     game = _Game(m, F)
     keys, winner = game.keys_of(cp), game.winner
-    ballots = [b for row in cp for b in row]
-    keyed = [(alt, game.key(alt)) for alt in e.orders()]
-    # a virtual voter's conjuncts do not depend on the other voters' sets
-    parts = []
+    conjuncts = []
     for p in game.players():
         vi, rank = p.voter - 1, p.rank.__getitem__
         base = [tuple(map(keys.__getitem__, row)) for row in p.rows]
         here = min(map(winner, base), key=rank)
-        dev = {k: min((winner(ks[:vi] + (k,) + ks[vi + 1:]) for ks in base),
-                      key=rank) for k, _ in game.classes}
-        parts.append([Not(CompAtom(p.voter, dev[k], here))
-                      for alt, k in keyed if alt != ballots[p.slot]])
-    conjuncts = []
-    for cell in itertools.product(*map(range, game.bounds, game.bounds[1:])):
-        guard = big_and(chars[slot] for slot in cell)
-        conjuncts.append(Implies(guard, big_and(f for slot in cell
-                                                for f in parts[slot])))
+        dev = [min((winner(ks[:vi] + (k,) + ks[vi + 1:]) for ks in base),
+                   key=rank) for k, _ in game.classes if k != keys[p.slot]]
+        conjuncts.append(Implies(chars[p.slot], big_and(
+            Not(CompAtom(p.voter, d, here)) for d in dev)))
     return big_and(conjuncts)
 
 

@@ -369,6 +369,16 @@ def test_hunt_exhausted_exits_one(capsys):
     assert "budget exhausted after 40 tries" in out
 
 
+def test_hunt_on_large_models_exits_one(capsys):
+    """The hunt builds no announcement formula it does not report, so no
+    formula nests too deeply though the user gave none."""
+    code, out, err = run(capsys, "hunt", "--property", "knowledge_de_re",
+                         "--candidates", "a,b,c,d", "--voters", "4",
+                         "--max-states", "1000", "--budget", "3")
+    assert (code, err) == (1, "")
+    assert "budget exhausted after 3 tries" in out
+
+
 @pytest.mark.parametrize("flags", [
     ["--budget", "-3"], ["--budget", "0"], ["--max-states", "1"],
     ["--max-states", "1000000000", "--budget", "3"],

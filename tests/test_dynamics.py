@@ -7,6 +7,7 @@ import pytest
 
 from epivote import dynamics, games
 from epivote import (
+    Election,
     EmptyResult,
     MissingTiebreak,
     Plurality,
@@ -220,8 +221,9 @@ def test_hunting_knowledge_exhausts_its_budget():
 
 @pytest.mark.parametrize("prop", PROPERTIES)
 def test_hunts_update_once_per_attempt(monkeypatch, prop):
-    """One denotation per attempt, however many profiles, and one restricted
-    model per attempt at which the property held before the announcement."""
+    """No denotation: the kept states are read off the drawn profiles. One
+    restricted model per attempt at which the property held before the
+    announcement."""
     before = search_counterexample(prop, F=F, seed=4, budget=50)
     _, _, held = old_search_counterexample(prop, F=F, seed=4, budget=50)
     calls = {"denotation": 0, "restrict": 0}
@@ -234,9 +236,18 @@ def test_hunts_update_once_per_attempt(monkeypatch, prop):
 
         monkeypatch.setattr(dynamics, name, counted)
     hit = search_counterexample(prop, F=F, seed=4, budget=50)
-    assert calls == {"denotation": hit.tries, "restrict": held}
+    assert calls == {"denotation": 0, "restrict": held}
     assert (hit.found, hit.tries, hit.detail) == (
         before.found, before.tries, before.detail)
+
+
+def test_hunt_on_large_models_builds_no_deep_formula():
+    """An announcement over about 500 profiles is never built unless it is
+    the witness; checking it once raised RecursionError."""
+    hit = search_counterexample("knowledge_de_re",
+                                Election(("a", "b", "c", "d"), 4),
+                                budget=3, max_states=1000)
+    assert (hit.found, hit.tries, hit.announcement) == (False, 3, None)
 
 
 def count_games(monkeypatch) -> list:

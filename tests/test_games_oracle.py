@@ -4,7 +4,8 @@ The engine tries one ballot per class the rule can tell apart and reads
 winners from a memo on ballot keys. The oracle below is the scan it
 replaced: for each virtual voter, every one of the m! ballots in
 ``e.orders()`` order, a new Profile per deviation and a call of F.winner.
-Models come from the ``pointed_models`` strategy in conftest.
+``winners_string`` and ``payoff_string`` are the per-profile references for
+the grid's cells and ``outcome_strings``. Models come from the ``pointed_models`` strategy in conftest.
 """
 
 import itertools
@@ -25,10 +26,12 @@ from epivote import (
 )
 from epivote import games
 from epivote.games import (
+    VirtualVoter,
+    _joined,
+    induced_winners,
     outcome_strings,
-    payoff_string,
+    payoff,
     strategy_label,
-    winners_string,
 )
 from epivote.rules import ballot_classes, ballot_space
 
@@ -99,6 +102,25 @@ def conditional_profiles(m):
     ballot = st.sampled_from(m.election.orders())
     return st.tuples(*(
         st.tuples(*(ballot for _ in m.blocks(i))) for i in m.election.voters))
+
+
+def winners_string(m, F, cp):
+    """Winners at each state in file order, concatenated ('bbc'), or joined
+    with '-' when some candidate name is longer than one character."""
+    return _joined(induced_winners(m, F, cp))
+
+
+def payoff_string(m, F, cp):
+    """Worst-case ranks, one digit per block, voters separated by dots.
+
+    A two-voter model where voter 1 has two blocks and voter 2 has one reads
+    like '11.1': voter 1's blocks in model order, then voter 2's.
+    """
+    return ".".join(
+        "".join(str(payoff(m, F, cp, VirtualVoter(i, block)))
+                for block in m.blocks(i))
+        for i in m.election.voters
+    )
 
 
 def check_against_oracle(data, m, F, by_tops):

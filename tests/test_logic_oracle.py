@@ -9,18 +9,23 @@ with one winner call per ballot. ``old_first_violation`` and
 ``old_introspection_violations`` are the own-preference loops that
 ``validate_model`` and ``check_axioms`` each kept, the second rescanning the
 block per member. ``old_bisim_rounds`` and ``old_class_formula_table`` are
-the partition refinement that rebuilt a block's class set per member state.
-Models come from the ``pointed_models`` strategy in conftest, the five
-fixtures and the hypercubes.
+the partition refinement that rebuilt a block's class set per member state,
+in two passes. ``old_has_manipulation``, ``old_knows_de_dicto``,
+``old_knows_de_re`` and ``old_equilibrium`` are the concept builders that
+tried every ballot, not one per ballot class. Models come from the
+``pointed_models`` strategy in conftest, the five fixtures and the
+hypercubes.
 """
 
+import functools
 import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import pointed_models, random_formula
+from test_games_oracle import Veto
 from epivote import (
     And,
     Announce,
@@ -48,7 +53,13 @@ from epivote import (
     to_text,
 )
 from epivote import games, logic, model, rules
-from epivote.logic import Implies, big_and, big_or, characteristic_formula
+from epivote.logic import (
+    Implies,
+    big_and,
+    big_or,
+    characteristic_formula,
+    formula_manipulation_with,
+)
 
 F = Plurality(pref("b>a>c"))
 CUBE3X2 = hypercube(Election(("a", "b", "c"), 2), tiebreak=F.tiebreak)
@@ -223,8 +234,20 @@ def test_conditional_equilibrium_formula_matches_the_old_builder(
         for cp in cps:
             new = build_concept_formula(
                 "conditional_equilibrium", m=m, F=rule, cp=cp)
-            assert to_text(new) == to_text(
-                old_conditional_equilibrium(m, rule, cp))
+            assert denotation(m, rule, new) == denotation(
+                m, rule, old_conditional_equilibrium(m, rule, cp))
+            conjuncts = []
+            while isinstance(new, And):  # big_and nests to the left
+                new, last = new.left, new.right
+                conjuncts.append(last)
+            conjuncts.append(new)
+            # each conjunct is Implies(guard, body), that is ~(guard & ~body)
+            guards = [c.sub.left for c in reversed(conjuncts)]
+            vvs = games.virtual_voters(m)
+            assert len(guards) == len(vvs)
+            assert list(map(to_text, guards)) == [
+                to_text(characteristic_formula(m, v.infoset).formula)
+                for v in vvs]
 
 
 def test_conditional_equilibrium_formula_work(monkeypatch, nested_doubt):
@@ -253,23 +276,22 @@ def test_conditional_equilibrium_formula_work(monkeypatch, nested_doubt):
 
 def test_conditional_equilibrium_formula_refines_once(monkeypatch,
                                                       all_fixture_models):
-    """One partition refinement and one class-formula table per formula,
-    however many information sets need a characteristic formula."""
-    counts = {"_bisim_rounds": 0, "_class_formula_table": 0}
-    for name in counts:
-        real = getattr(logic, name)
+    """One partition refinement per formula, however many information sets
+    need a characteristic formula."""
+    calls = []
+    real = logic._refine
 
-        def counted(*args, name=name, real=real):
-            counts[name] += 1
-            return real(*args)
+    def counted(m):
+        calls.append(m)
+        return real(m)
 
-        monkeypatch.setattr(logic, name, counted)
+    monkeypatch.setattr(logic, "_refine", counted)
     for m in all_fixture_models.values():
-        counts.update(_bisim_rounds=0, _class_formula_table=0)
+        calls.clear()
         build_concept_formula("conditional_equilibrium", m=m,
                               F=Plurality(m.tiebreak),
                               cp=games.sincere_conditional_profile(m))
-        assert counts == {"_bisim_rounds": 1, "_class_formula_table": 1}
+        assert calls == [m]
 
 
 def test_conditional_equilibrium_formula_fails_on_the_same_set():
@@ -384,8 +406,8 @@ def test_axiom_check_reads_each_ballot_once(monkeypatch):
 # ------------------------------------------------------ partition refinement
 
 def old_bisim_rounds(m):
-    """_bisim_rounds before block ids: each member's block and its class
-    set rebuilt per state."""
+    """The refinement's rounds before block ids: each member's block and its
+    class set rebuilt per state. The last round holds the classes."""
     cls = logic._group([m.profiles[si] for si in range(len(m.states))])
     rounds = [cls]
     while True:
@@ -404,6 +426,7 @@ def old_bisim_rounds(m):
 
 
 def old_class_formula_table(m, rounds):
+    """Per state, a formula true at exactly its class in rounds[-1]."""
     table = [ProfileAtom(m.profiles[si]) for si in range(len(m.states))]
     for k in range(1, len(rounds)):
         prev = rounds[k - 1]
@@ -425,9 +448,10 @@ def old_class_formula_table(m, rounds):
 
 
 def assert_refinement_matches(m):
-    rounds = logic._bisim_rounds(m)
-    assert rounds == old_bisim_rounds(m)
-    assert list(map(to_text, logic._class_formula_table(m, rounds))) == list(
+    classes, formulas = logic._refine(m)
+    rounds = old_bisim_rounds(m)
+    assert classes == rounds[-1]
+    assert list(map(to_text, formulas)) == list(
         map(to_text, old_class_formula_table(m, rounds)))
 
 
@@ -445,3 +469,113 @@ def test_refinement_matches_the_old_scans(all_fixture_models):
 @settings(derandomize=True, deadline=None, max_examples=200)
 def test_refinement_matches_the_old_scans_on_drawn_models(m):
     assert_refinement_matches(m)
+
+
+# ------------------------------------------------ concept formulas per ballot
+
+def old_has_manipulation(e, F, i, p):
+    return big_or(formula_manipulation_with(e, F, i, p, alt)
+                  for alt in e.orders())
+
+
+def old_knows_de_dicto(e, F, i):
+    return Know(i, big_and(
+        Implies(ProfileAtom(p), old_has_manipulation(e, F, i, p))
+        for p in e.all_profiles()))
+
+
+def old_knows_de_re(e, F, i):
+    return big_or(
+        Know(i, big_and(
+            Implies(ProfileAtom(p), formula_manipulation_with(e, F, i, p, alt))
+            for p in e.all_profiles()))
+        for alt in e.orders())
+
+
+def old_equilibrium(e, F, p):
+    return big_and(Not(formula_manipulation_with(e, F, i, p, alt))
+                   for i in e.voters for alt in e.orders())
+
+
+OLD_BUILDERS = {
+    "has_manipulation": old_has_manipulation,
+    "knows_de_dicto": old_knows_de_dicto,
+    "knows_de_re": old_knows_de_re,
+    "equilibrium": old_equilibrium,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def ballot_formulas(concept, e, F, args):
+    """The concept formula and its per-ballot oracle's, built once per
+    election, rule and arguments, since neither reads a model. Under the
+    keyless Veto every ballot is its own class, so the texts must agree."""
+    new = build_concept_formula(concept, e=e, F=F, **dict(args))
+    old = OLD_BUILDERS[concept](e, F, **dict(args))
+    if isinstance(F, Veto):
+        assert to_text(new) == to_text(old), concept
+    return new, old
+
+
+def ballot_concepts(m, rng):
+    """(rule, concept, arguments) for every voter, at the first state's
+    profile and at one random profile."""
+    e = m.election
+    profiles = [m.profiles[0],
+                profile(*(rng.choice(e.orders()).as_text() for _ in e.voters))]
+    for F in (Plurality(m.tiebreak), Veto(m.tiebreak)):
+        for i in e.voters:
+            yield F, "knows_de_dicto", (("i", i),)
+            yield F, "knows_de_re", (("i", i),)
+            for p in profiles:
+                yield F, "has_manipulation", (("i", i), ("p", p))
+        for p in profiles:
+            yield F, "equilibrium", (("p", p),)
+
+
+def built_or_refused(build):
+    """The formula build() returns, or the Indistinguishable message."""
+    try:
+        return build()
+    except Indistinguishable as err:
+        return str(err)
+
+
+def assert_concepts_match(m, rng, conditional=True):
+    """Each concept formula denotes on m what its old builder's does."""
+    for F, concept, args in ballot_concepts(m, rng):
+        new, old = ballot_formulas(concept, m.election, F, args)
+        assert denotation(m, F, new) == denotation(m, F, old), concept
+    if not conditional:
+        return
+    orders = m.election.orders()
+    cps = [games.sincere_conditional_profile(m),
+           tuple(tuple(rng.choice(orders) for _ in m.blocks(i))
+                 for i in m.election.voters)]
+    for F in (Plurality(m.tiebreak), Veto(m.tiebreak)):
+        for cp in cps:
+            new = built_or_refused(lambda: build_concept_formula(
+                "conditional_equilibrium", m=m, F=F, cp=cp))
+            old = built_or_refused(
+                lambda: old_conditional_equilibrium(m, F, cp))
+            if isinstance(old, str):
+                assert new == old
+            else:
+                assert denotation(m, F, new) == denotation(m, F, old)
+
+
+@given(m=pointed_models(), seed=st.integers(0, 2**32 - 1))
+@settings(derandomize=True, deadline=None, max_examples=20)
+def test_concept_formulas_match_the_per_ballot_builders(m, seed):
+    # formulas grow as (m!)^n: 4 candidates take seconds per model
+    assume(len(m.election.candidates) == 3)
+    assert_concepts_match(m, random.Random(seed))
+
+
+def test_concept_formulas_match_the_per_ballot_builders_on_fixtures(
+        all_fixture_models):
+    rng = random.Random(13)
+    for m in all_fixture_models.values():
+        assert_concepts_match(m, rng)
+    # the old conditional-equilibrium builder takes seconds on the cube
+    assert_concepts_match(CUBE3X3, rng, conditional=False)
