@@ -38,9 +38,6 @@ def main(argv=None) -> int:
     except (EpivoteError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:
-        print("error: formula nests too deeply", file=sys.stderr)
-        return 2
 
 
 @functools.cache

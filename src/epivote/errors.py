@@ -43,7 +43,8 @@ class UnknownState(EpivoteError):
 
 
 class SizeLimit(EpivoteError):
-    """An enumeration would exceed the cap ``model.SIZE_CAP`` on its item count."""
+    """An enumeration would exceed the cap ``model.SIZE_CAP`` on its item
+    count, or a formula nests deeper than the Python stack can parse or evaluate."""
 
 
 class EmptySet(EpivoteError):

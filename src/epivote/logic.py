@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial, reduce
 
 from .errors import (
     EmptySet,
@@ -46,6 +47,7 @@ from .errors import (
     IncompleteProfileAtom,
     Indistinguishable,
     MissingTiebreak,
+    SizeLimit,
     UnknownCandidate,
     UnknownVoter,
 )
@@ -97,25 +99,47 @@ class Top:
     pass
 
 
-@dataclass(frozen=True)
-class Not:
+class _Connective:
+    """The dataclass equality (identity first) and hash, on an explicit stack
+    for any depth; a hash reads its subformulas' hashes. Atoms keep theirs."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            x, y = pairs.pop()
+            if x is not y:
+                if x.__class__ is y.__class__ and isinstance(x, _Connective):
+                    pairs += zip(vars(x).values(), vars(y).values())
+                elif not x == y:
+                    return False
+        return True
+
+    def __hash__(self):
+        return _fold(self, lambda f, kids: hash(
+            (f.voter, *kids) if type(f) is Know else tuple(kids)) if kids else hash(f))
+
+
+@dataclass(frozen=True, eq=False)
+class Not(_Connective):
     sub: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False)
+class And(_Connective):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Know:
+@dataclass(frozen=True, eq=False)
+class Know(_Connective):
     voter: Voter
     sub: "Formula"
 
 
-@dataclass(frozen=True)
-class Announce:
+@dataclass(frozen=True, eq=False)
+class Announce(_Connective):
     announced: "Formula"
     sub: "Formula"
 
@@ -126,8 +150,6 @@ Formula = (
 
 TRUE = Top()
 FALSE = Not(TRUE)
-
-_ATOMS = (ProfileAtom, PrefAtom, CompAtom, WinsAtom, Top)
 
 
 def Or(a: Formula, b: Formula) -> Formula:
@@ -144,22 +166,46 @@ def Iff(a: Formula, b: Formula) -> Formula:
 
 def big_and(items) -> Formula:
     items = list(items)
-    if not items:
-        return TRUE
-    out = items[0]
-    for f in items[1:]:
-        out = And(out, f)
-    return out
+    return reduce(And, items) if items else TRUE
 
 
 def big_or(items) -> Formula:
     items = list(items)
-    if not items:
-        return FALSE
-    out = items[0]
-    for f in items[1:]:
-        out = Or(out, f)
-    return out
+    return reduce(Or, items) if items else FALSE
+
+
+def _children(phi) -> tuple:
+    """phi's subformulas in field order; () for an atom. With _rebuild and
+    _eval, the one place that knows which fields hold subformulas."""
+    t = type(phi)
+    if t is Not or t is Know:
+        return phi.sub,
+    if t is And:
+        return phi.left, phi.right
+    return (phi.announced, phi.sub) if t is Announce else ()
+
+
+def _rebuild(phi, kids) -> Formula:
+    """phi with kids in place of its subformulas; an atom is itself."""
+    if type(phi) is Know:
+        return Know(phi.voter, *kids)
+    return type(phi)(*kids) if kids else phi
+
+
+def _fold(phi, visit):
+    """visit(node, its children's values) at every node of phi, children
+    first and left to right, on an explicit stack: the root's value. A node
+    reached by several paths is visited once per path, as in a tree walk."""
+    values: list = []
+    stack = [(phi, None)]
+    while stack:
+        node, kids = stack.pop()
+        if kids is None and (kids := _children(node)):
+            stack += [(node, kids)] + [(kid, None) for kid in reversed(kids)]
+        else:
+            cut = len(values) - len(kids)
+            values[cut:] = [visit(node, values[cut:])]
+    return values[0]
 
 
 # ---------------------------------------------------------------- parsing
@@ -245,29 +291,25 @@ class _Parser:
         return out
 
     def unary(self) -> Formula:
-        kind, text, pos = self.peek()
-        if kind == "sym" and text == "~":
-            self.take()
-            return Not(self.unary())
-        if kind == "sym" and text == "[":
-            self.take()
-            ann = self.formula()
-            self.expect_sym("]")
-            return Announce(ann, self.unary())
-        if kind == "word" and (text == "K" or re.fullmatch(r"K[0-9]+", text)):
-            self.take()
-            if text == "K":
-                nkind, ntext, npos = self.take()
-                if nkind != "int":
-                    raise FormulaSyntaxError(npos, "K needs a voter number")
-                voter = int(ntext)
-                vpos = npos
+        wraps = []  # a prefix chain is read in a loop, not on the Python stack
+        while True:
+            kind, text, pos = self.take()
+            if kind == "sym" and text == "~":
+                wraps.append(Not)
+            elif kind == "sym" and text == "[":
+                wraps.append(partial(Announce, self.formula()))
+                self.expect_sym("]")
+            elif kind == "word" and re.fullmatch(r"K[0-9]*", text):
+                if text == "K":
+                    kind, text, pos = self.take()
+                    if kind != "int":
+                        raise FormulaSyntaxError(pos, "K needs a voter number")
+                voter = int(text.removeprefix("K"))
+                self._check_voter(voter, pos)
+                wraps.append(partial(Know, voter))
             else:
-                voter = int(text[1:])
-                vpos = pos
-            self._check_voter(voter, vpos)
-            return Know(voter, self.unary())
-        return self.atom()
+                self.k -= 1  # no prefix: the atom starts here
+                return reduce(lambda f, wrap: wrap(f), reversed(wraps), self.atom())
 
     def atom(self) -> Formula:
         kind, text, pos = self.take()
@@ -368,7 +410,10 @@ class _Parser:
 
 def parse(src: str, e: Election) -> Formula:
     p = _Parser(src, e)
-    out = p.formula()
+    try:
+        out = p.formula()
+    except RecursionError:  # brackets nest deeper than the Python stack
+        raise SizeLimit("formula nests too deeply") from None
     kind, text, pos = p.peek()
     if kind != "end":
         raise FormulaSyntaxError(pos, f"trailing input {text!r}")
@@ -379,34 +424,32 @@ def parse(src: str, e: Election) -> Formula:
 
 def to_text(phi: Formula) -> str:
     """Concrete syntax for a formula; inverse of parse on core formulas."""
-    return _fmt(phi)
+    return _fold(phi, _text)
 
 
-def _fmt(phi: Formula) -> str:
-    if isinstance(phi, And):
-        return f"{_fmt(phi.left)} & {_fmt_unary(phi.right)}"
-    return _fmt_unary(phi)
-
-
-def _fmt_unary(phi: Formula) -> str:
+def _text(phi: Formula, kids: list[str]) -> str:
+    """phi's text from its children's. Only a connective's last child is
+    ever bracketed: when it is a conjunction."""
+    if kids:
+        last = f"({kids[-1]})" if type(_children(phi)[-1]) is And else kids[-1]
     match phi:
-        case Top():
-            return "true"
-        case Not(sub=Top()):
-            return "false"
-        case Not(sub=sub):
-            return "~" + _fmt_unary(sub)
-        case Know(voter=i, sub=sub):
-            return f"K{i} " + _fmt_unary(sub)
-        case Announce(announced=a, sub=sub):
-            return f"[{_fmt(a)}] " + _fmt_unary(sub)
-        case And():
-            return "(" + _fmt(phi) + ")"
         case ProfileAtom(profile=p):
             inner = "; ".join(
                 f"{v}: {r.as_text()}" for v, r in enumerate(p.prefs, start=1)
             )
             return "profile{" + inner + "}"
+        case Top():
+            return "true"
+        case Not(sub=Top()):
+            return "false"
+        case Not():
+            return "~" + last
+        case And():
+            return f"{kids[0]} & {last}"
+        case Know(voter=i):
+            return f"K{i} " + last
+        case Announce():
+            return f"[{kids[0]}] " + last
         case PrefAtom(voter=i, order=r):
             return f"pref {i}({r.as_text()})"
         case CompAtom(voter=i, better=a, worse=b):
@@ -419,50 +462,47 @@ def _fmt_unary(phi: Formula) -> str:
 # ---------------------------------------------------------------- semantics
 
 def check_formula(phi: Formula, e: Election) -> None:
-    """Raise if the formula mentions voters or candidates outside e."""
-    # the commonest nodes by an exact type test, which is cheaper than match
-    t = type(phi)
-    if t is Not:
-        return check_formula(phi.sub, e)
-    if t is And:
-        check_formula(phi.left, e)
-        return check_formula(phi.right, e)
-    if t is ProfileAtom:
-        p = phi.profile
-        if len(p.prefs) != e.num_voters:
-            raise IncompleteProfileAtom(
-                f"profile atom has {len(p.prefs)} voters, "
-                f"expected {e.num_voters}"
-            )
-        for r in p.prefs:
-            if not ranks_every_candidate(r.order, e.candidates):
+    """Raise if the formula mentions voters or candidates outside e; the
+    first offending node in pre-order raises."""
+    stack = [phi]
+    while stack:
+        phi = stack.pop()
+        # the commonest nodes by an exact type test, which is cheaper than match
+        t = type(phi)
+        if t is ProfileAtom:
+            p = phi.profile
+            if len(p.prefs) != e.num_voters:
                 raise IncompleteProfileAtom(
-                    f"profile atom ranking {r.as_text()} incomplete"
+                    f"profile atom has {len(p.prefs)} voters, "
+                    f"expected {e.num_voters}"
                 )
-        return
-    match phi:
-        case PrefAtom(voter=i, order=r):
-            _need_voter(i, e)
-            if not ranks_every_candidate(r.order, e.candidates):
-                raise IncompleteProfileAtom(
-                    f"pref atom ranking {r.as_text()} incomplete"
-                )
-        case CompAtom(voter=i, better=a, worse=b):
-            _need_voter(i, e)
-            _need_candidate(a, e)
-            _need_candidate(b, e)
-        case WinsAtom(candidate=c):
-            _need_candidate(c, e)
-        case Top():
-            pass
-        case Know(voter=i, sub=sub):
-            _need_voter(i, e)
-            check_formula(sub, e)
-        case Announce(announced=a, sub=sub):
-            check_formula(a, e)
-            check_formula(sub, e)
-        case _:
-            raise TypeError(f"not a formula: {phi!r}")
+            for r in p.prefs:
+                if not ranks_every_candidate(r.order, e.candidates):
+                    raise IncompleteProfileAtom(
+                        f"profile atom ranking {r.as_text()} incomplete"
+                    )
+            continue
+        if t is not Not and t is not And:
+            match phi:
+                case PrefAtom(voter=i, order=r):
+                    _need_voter(i, e)
+                    if not ranks_every_candidate(r.order, e.candidates):
+                        raise IncompleteProfileAtom(
+                            f"pref atom ranking {r.as_text()} incomplete"
+                        )
+                case CompAtom(voter=i, better=a, worse=b):
+                    _need_voter(i, e)
+                    _need_candidate(a, e)
+                    _need_candidate(b, e)
+                case WinsAtom(candidate=c):
+                    _need_candidate(c, e)
+                case Know(voter=i):
+                    _need_voter(i, e)
+                case Top() | Announce():
+                    pass
+                case _:
+                    raise TypeError(f"not a formula: {phi!r}")
+        stack += _children(phi)[::-1]
 
 
 def _need_voter(i: Voter, e: Election):
@@ -482,18 +522,24 @@ def evaluate(kp: KnowledgeProfile, F: VotingRule | None, phi: Formula) -> bool:
     without them (MissingTiebreak otherwise). An announcement false at the
     state makes the whole announcement formula true.
     """
-    check_formula(phi, kp.election)
-    m = kp.model
-    return _eval(m, kp.point, F, phi, frozenset(m.states), {})
+    return bool(_holding(kp.model, F, phi, (kp.point,)))
 
 
 def denotation(
     m: ProfileModel, F: VotingRule | None, phi: Formula
 ) -> tuple[str, ...]:
     """The states where phi holds, in file order."""
+    return _holding(m, F, phi, m.states)
+
+
+def _holding(m: ProfileModel, F: VotingRule | None, phi: Formula, states):
+    """The given states where phi holds; SizeLimit if _eval runs out of stack."""
     check_formula(phi, m.election)
     live, memo = frozenset(m.states), {}
-    return tuple(s for s in m.states if _eval(m, s, F, phi, live, memo))
+    try:
+        return tuple(s for s in states if _eval(m, s, F, phi, live, memo))
+    except RecursionError:
+        raise SizeLimit("formula nests too deeply") from None
 
 
 def valid_on(m: ProfileModel, F: VotingRule | None, phi: Formula) -> bool:
@@ -587,10 +633,8 @@ def expand_abbreviations(
             return And(anchor, Not(anchor))
         return big_or(chosen)
 
-    def walk(f: Formula) -> Formula:
+    def visit(f: Formula, kids: list[Formula]) -> Formula:
         match f:
-            case ProfileAtom():
-                return f
             case PrefAtom(voter=i, order=r):
                 return dis(p for p in profiles if p.pref(i) == r)
             case CompAtom(voter=i, better=a, worse=b):
@@ -603,17 +647,11 @@ def expand_abbreviations(
                 return dis(p for p in profiles if F.winner(e, p) == c)
             case Top():
                 return dis(profiles)
-            case Not(sub=sub):
-                return Not(walk(sub))
-            case And(left=l, right=r):
-                return And(walk(l), walk(r))
-            case Know(voter=i, sub=sub):
-                return Know(i, walk(sub))
-            case Announce(announced=a, sub=sub):
-                return Announce(walk(a), walk(sub))
+            case ProfileAtom() | Not() | And() | Know() | Announce():
+                return _rebuild(f, kids)
         raise TypeError(f"not a formula: {f!r}")
 
-    return walk(phi)
+    return _fold(phi, visit)
 
 
 # ------------------------------------------------------- announcement removal
@@ -626,30 +664,23 @@ def reduce_announcements(phi: Formula) -> Formula:
     and [a]K_i b = a -> K_i (a -> [a]b). Each rule copies the announced
     formula, so the result can be exponentially larger than the input.
     """
-    match phi:
-        case Not(sub=sub):
-            return Not(reduce_announcements(sub))
-        case And(left=l, right=r):
-            return And(reduce_announcements(l), reduce_announcements(r))
-        case Know(voter=i, sub=sub):
-            return Know(i, reduce_announcements(sub))
-        case Announce(announced=a, sub=sub):
-            return _push(reduce_announcements(a), reduce_announcements(sub))
-        case _:
-            return phi
+    return _fold(phi, lambda f, kids: (
+        _push(*kids) if type(f) is Announce else _rebuild(f, kids)))
 
 
 def _push(a: Formula, b: Formula) -> Formula:
-    # both a and b are announcement-free here
-    match b:
-        case Not(sub=sub):
-            return Implies(a, Not(_push(a, sub)))
-        case And(left=l, right=r):
-            return And(_push(a, l), _push(a, r))
-        case Know(voter=i, sub=sub):
-            return Implies(a, Know(i, Implies(a, _push(a, sub))))
-        case _:
-            return Implies(a, b)
+    """[a]b by the rules above, for announcement-free a and b."""
+    def visit(f: Formula, kids: list[Formula]) -> Formula:
+        t = type(f)
+        if t is Not:
+            return Implies(a, Not(kids[0]))
+        if t is And:
+            return And(*kids)
+        if t is Know:
+            return Implies(a, Know(f.voter, Implies(a, kids[0])))
+        return Implies(a, f)
+
+    return _fold(b, visit)
 
 
 # ---------------------------------------------------------------- axiom checks
@@ -720,10 +751,7 @@ def _characteristic_formulas(m: ProfileModel, targets) -> list[Formula]:
     cls, table = _refine(m)
     out = []
     for idx in idxs:
-        target_classes = []
-        for ti in idx:
-            if cls[ti] not in target_classes:
-                target_classes.append(cls[ti])
+        target_classes = list(dict.fromkeys(cls[ti] for ti in idx))
         inside = set(idx)
         for si in range(len(m.states)):
             if si not in inside and cls[si] in target_classes:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .model import KnowledgeProfile, Preference, Profile, Voter
-from .rules import VotingRule, _key_of, ballot_classes, is_manipulation
+from .rules import VotingRule, _key_of, ballot_classes, manipulations
 
 
 def knows_manipulation(
@@ -175,9 +175,7 @@ def classify(kp: KnowledgeProfile, F: VotingRule, i: Voter) -> ManipulationRepor
     considered = _considered(kp, i)
     actual = kp.truth()
     truth = actual.pref(i)
-    manipulation_alts = tuple(
-        alt for alt in e.orders() if is_manipulation(F, e, actual, i, alt)
-    )
+    manipulation_alts = tuple(manipulations(F, e, actual, i))
     dominant_alts = _dominant_alts(e, F, i, truth, considered)
     pessimistic_alts = tuple(
         alt for alt in e.orders() if _pessimistic(e, F, i, truth, considered, alt)

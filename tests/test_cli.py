@@ -15,9 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 from epivote import (
     PROPERTIES,
+    Election,
+    PartitionError,
     check_axioms,
     classify,
     load_model,
+    parse,
     parse_model,
     rule_for,
     save_model,
@@ -341,15 +344,48 @@ def test_preserve_profile_ballots_rank_every_candidate(capsys, spec):
     assert "exactly once" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["check", fixture_path("hidden-flip"), "-f", "~" * 3000 + "true"],
-    ["check", fixture_path("hidden-flip"), "-f", "(" * 200 + "true" + ")" * 200],
-    ["reduce", "--model", fixture_path("hidden-flip"), "-f", "~" * 990 + "true"],
-], ids=["check-negations", "check-parentheses", "reduce-negations"])
-def test_deep_nesting_is_an_error(capsys, argv):
-    code, _, err = run(capsys, *argv)
-    assert code == 2
-    assert err == "error: formula nests too deeply\n"
+# formulas deeper than the Python stack: the parser and the rewriters take
+# them; the evaluator and bracketed input exit 2 with one error line
+DEEP = {
+    "negations": "~" * 3000 + "true",
+    "knowledge": "K1 " * 3000 + "true",
+    "parentheses": "(" * 200 + "true" + ")" * 200,
+    "disjunction": " | ".join(["1: a>b"] * 600),
+}
+DEEP_ARGV = {
+    "check": ["check", fixture_path("hidden-flip")],
+    "update": ["update", fixture_path("hidden-flip")],
+    "preserve": ["preserve", fixture_path("hidden-flip"),
+                 "--property", "knowledge_de_re", "--voter", "1"],
+    "reduce": ["reduce", "--candidates", "a,b,c", "--voters", "2"],
+}
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["check", fixture_path("hidden-flip"), "-f", "~" * 3000 + "true"], 2),
+    (["check", fixture_path("hidden-flip"), "-f",
+      "(" * 200 + "true" + ")" * 200], 2),
+    (["reduce", "--model", fixture_path("hidden-flip"), "-f",
+      "~" * 990 + "true"], 0),
+] + [
+    ([*DEEP_ARGV[cmd], "-f", DEEP[shape]],
+     0 if cmd == "reduce" and shape != "parentheses" else 2)
+    for cmd in DEEP_ARGV for shape in DEEP
+], ids=["check-negations", "check-parentheses", "reduce-negations"] + [
+    f"{cmd}-{shape}-deep" for cmd in DEEP_ARGV for shape in DEEP])
+def test_deep_nesting_is_an_error(capsys, argv, want):
+    """Too deep for the evaluator or for bracketed input: exit 2 with one
+    error line. reduce takes any depth of prefixes and conjuncts, and its
+    output parses back when its brackets are shallow."""
+    code, out, err = run(capsys, *argv)
+    assert code == want
+    if want == 2:
+        assert err == "error: formula nests too deeply\n"
+        return
+    assert err == ""
+    if "(" not in out:
+        e = Election(("a", "b", "c"), 2)
+        assert parse(out.strip(), e) == parse(argv[-1], e)
 
 
 def test_hunt_finds_and_repeats(capsys):
@@ -489,7 +525,7 @@ FORMULAS = st.sampled_from([
     "true", "wins a", "K1 wins b", "~K2 (wins a | wins c)",
     "[1: a>b] K2 wins c", "pref 1(a>b>c) -> wins a",
     "profile{1: a>b>c; 2: c>b>a}", "K3 true", "wins d", "1: a>", "((true",
-    "$", "",
+    "$", "", *DEEP.values(),
 ])
 VOTERS = st.integers(-1, 5)
 CANDIDATES = st.sampled_from(["a,b,c", "a,b", "a", "a b,c", "a,,b", "x>y,z",
@@ -576,12 +612,18 @@ def test_written_models_read_back_and_report_every_voter(m):
 @given(m=pointed_models(broken=True))
 def test_axioms_names_each_violation_of_a_written_model(m):
     """axioms on a drawn model's file prints one line per own-preference
-    violation and exits 1, or exits 0 when there is none; no traceback."""
+    violation and exits 1, or exits 0 when there is none; a partition that
+    misses or repeats a state exits 2 with one error line; no traceback."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "drawn.model")
         save_model(m, path)
         code, out, err = run_in_process(["axioms", path])
-    violations = check_axioms(m).introspection_violations
+    try:
+        violations = check_axioms(m).introspection_violations
+    except PartitionError:
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        return
     assert (code, err) == (1 if violations else 0, "")
     assert [line for line in out.splitlines() if "confuses" in line] == [
         f"  voter {i} confuses {s} and {t}" for i, s, t in violations]

@@ -21,12 +21,16 @@ from epivote import (
     Plurality,
     PrefAtom,
     ProfileAtom,
+    SizeLimit,
+    TRUE,
     UnknownCandidate,
     UnknownVoter,
     WinsAtom,
+    big_and,
     build_concept_formula,
     characteristic_formula,
     check_axioms,
+    check_formula,
     denotation,
     dominant_preference,
     evaluate,
@@ -37,6 +41,7 @@ from epivote import (
     parse,
     pref,
     profile,
+    random_announcement,
     random_model,
     reduce_announcements,
     to_text,
@@ -368,3 +373,61 @@ def test_dominant_concept_formula_on_single_state_models():
 def test_unknown_concept_rejected():
     with pytest.raises(ValueError):
         build_concept_formula("bribery", e=E2, F=F)
+
+
+# ------------------------------------------------------ formulas of any depth
+
+E4X2 = Election(("a", "b", "c", "d"), 2)
+F4 = Plurality(pref("b>a>c>d"))
+
+
+def test_prefix_chains_parse_and_print_at_any_depth():
+    for src in ("~" * 3000 + "wins a", "K1 " * 3000 + "true",
+                "[true] " * 1000 + "wins a"):
+        phi = parse(src, E2)
+        assert to_text(phi) == src
+        assert parse(to_text(phi), E2) == phi
+        check_formula(phi, E2)
+    # reduce copies the announced formula per rule: announcements stay few
+    phi = parse("K1 " * 3000 + "[wins a] ~" * 3 + "wins b", E2)
+    assert to_text(reduce_announcements(phi)).startswith("K1 " * 3000)
+
+
+def test_expanded_winner_atom_prints_hashes_and_compares():
+    phi = expand_abbreviations(WinsAtom("a"), E4X2, F4)
+    again = expand_abbreviations(WinsAtom("a"), E4X2, F4)
+    assert phi is not again
+    assert to_text(phi) == to_text(again)
+    assert phi == again and hash(phi) == hash(again)
+    assert phi != expand_abbreviations(WinsAtom("b"), E4X2, F4)
+
+
+@pytest.mark.parametrize("concept, args", [
+    ("knows_de_dicto", {"i": 1}),
+    ("knows_de_re", {"i": 2}),
+    ("dominant_manipulation", {"i": 1, "alt": pref("c>a>b>d")}),
+])
+def test_concept_formulas_over_four_candidates_hash(concept, args):
+    phi = build_concept_formula(concept, e=E4X2, F=F4, **args)
+    again = build_concept_formula(concept, e=E4X2, F=F4, **args)
+    assert hash(phi) == hash(again) and phi == again
+
+
+def test_hunt_announcement_over_a_large_model_prints():
+    rng = random.Random(0)
+    m = random_model(rng, Election(("a", "b", "c", "d"), 4), 1000)
+    assert len(m.states) == 866
+    phi = random_announcement(rng, m)
+    assert to_text(phi).count("profile{") > 400
+
+
+def test_too_deep_to_evaluate_is_a_size_limit(nested_doubt):
+    deep = big_and([TRUE] * 5000)
+    for run in (lambda: denotation(nested_doubt, F, deep),
+                lambda: evaluate(nested_doubt.pointed(), F, deep),
+                lambda: valid_on(nested_doubt, F, deep),
+                lambda: parse("(" * 400 + "true" + ")" * 400, E2)):
+        with pytest.raises(SizeLimit, match="^formula nests too deeply$"):
+            run()
+    assert to_text(deep) == " & ".join(["true"] * 5000)
+    check_formula(deep, E2)

@@ -12,11 +12,16 @@ block per member. ``old_bisim_rounds`` and ``old_class_formula_table`` are
 the partition refinement that rebuilt a block's class set per member state,
 in two passes. ``old_has_manipulation``, ``old_knows_de_dicto``,
 ``old_knows_de_re`` and ``old_equilibrium`` are the concept builders that
-tried every ballot, not one per ballot class. Models come from the
+tried every ballot, not one per ballot class. ``old_fmt``,
+``old_check_formula``, ``old_expand_abbreviations``,
+``old_reduce_announcements`` and ``old_eq`` are the tree walks that recursed
+on the Python stack before the explicit-stack fold. Models come from the
 ``pointed_models`` strategy in conftest, the five fixtures and the
 hypercubes.
 """
 
+import copy
+import dataclasses
 import functools
 import itertools
 import random
@@ -36,9 +41,14 @@ from epivote import (
     MissingTiebreak,
     Not,
     OwnPreferenceViolation,
+    PartitionError,
     Plurality,
     PrefAtom,
     ProfileAtom,
+    TRUE,
+    EpivoteError,
+    FALSE,
+    IncompleteProfileAtom,
     Top,
     WinsAtom,
     build_concept_formula,
@@ -358,8 +368,21 @@ CUBE4X2 = hypercube(Election(("a", "b", "c", "d"), 2),
                     tiebreak=pref("b>a>c>d"))
 
 
+def partitions_cover_once(m):
+    """Whether every voter's blocks hold each state exactly once."""
+    return all(sorted(s for block in m.blocks(i) for s in block)
+               == sorted(m.states) for i in m.election.voters)
+
+
 def assert_own_preference_matches(m):
     want = old_introspection_violations(m)
+    assert tuple(model.own_preference_violations(m)) == want
+    if not partitions_cover_once(m):
+        with pytest.raises(PartitionError):
+            model.validate_model(m)
+        with pytest.raises(PartitionError):
+            logic.check_axioms(m)
+        return
     rep = logic.check_axioms(m)
     assert rep.introspection_violations == want
     assert rep.introspection_valid == (not want)
@@ -448,8 +471,13 @@ def old_class_formula_table(m, rounds):
 
 
 def assert_refinement_matches(m):
+    try:
+        rounds = old_bisim_rounds(m)
+    except PartitionError:  # a partition misses a state
+        with pytest.raises(PartitionError):
+            logic._refine(m)
+        return
     classes, formulas = logic._refine(m)
-    rounds = old_bisim_rounds(m)
     assert classes == rounds[-1]
     assert list(map(to_text, formulas)) == list(
         map(to_text, old_class_formula_table(m, rounds)))
@@ -579,3 +607,273 @@ def test_concept_formulas_match_the_per_ballot_builders_on_fixtures(
         assert_concepts_match(m, rng)
     # the old conditional-equilibrium builder takes seconds on the cube
     assert_concepts_match(CUBE3X3, rng, conditional=False)
+
+
+# ------------------------------------------------ the recursive tree walks
+
+def old_fmt(phi):
+    if isinstance(phi, And):
+        return f"{old_fmt(phi.left)} & {old_fmt_unary(phi.right)}"
+    return old_fmt_unary(phi)
+
+
+def old_fmt_unary(phi):
+    match phi:
+        case Top():
+            return "true"
+        case Not(sub=Top()):
+            return "false"
+        case Not(sub=sub):
+            return "~" + old_fmt_unary(sub)
+        case Know(voter=i, sub=sub):
+            return f"K{i} " + old_fmt_unary(sub)
+        case Announce(announced=a, sub=sub):
+            return f"[{old_fmt(a)}] " + old_fmt_unary(sub)
+        case And():
+            return "(" + old_fmt(phi) + ")"
+        case ProfileAtom(profile=p):
+            inner = "; ".join(
+                f"{v}: {r.as_text()}" for v, r in enumerate(p.prefs, start=1)
+            )
+            return "profile{" + inner + "}"
+        case PrefAtom(voter=i, order=r):
+            return f"pref {i}({r.as_text()})"
+        case CompAtom(voter=i, better=a, worse=b):
+            return f"{i}: {a}>{b}"
+        case WinsAtom(candidate=c):
+            return f"wins {c}"
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+def old_check_formula(phi, e):
+    match phi:
+        case ProfileAtom(profile=p):
+            if len(p.prefs) != e.num_voters:
+                raise IncompleteProfileAtom(
+                    f"profile atom has {len(p.prefs)} voters, "
+                    f"expected {e.num_voters}"
+                )
+            for r in p.prefs:
+                if not model.ranks_every_candidate(r.order, e.candidates):
+                    raise IncompleteProfileAtom(
+                        f"profile atom ranking {r.as_text()} incomplete"
+                    )
+        case PrefAtom(voter=i, order=r):
+            logic._need_voter(i, e)
+            if not model.ranks_every_candidate(r.order, e.candidates):
+                raise IncompleteProfileAtom(
+                    f"pref atom ranking {r.as_text()} incomplete"
+                )
+        case CompAtom(voter=i, better=a, worse=b):
+            logic._need_voter(i, e)
+            logic._need_candidate(a, e)
+            logic._need_candidate(b, e)
+        case WinsAtom(candidate=c):
+            logic._need_candidate(c, e)
+        case Top():
+            pass
+        case Not(sub=sub):
+            old_check_formula(sub, e)
+        case And(left=l, right=r):
+            old_check_formula(l, e)
+            old_check_formula(r, e)
+        case Know(voter=i, sub=sub):
+            logic._need_voter(i, e)
+            old_check_formula(sub, e)
+        case Announce(announced=a, sub=sub):
+            old_check_formula(a, e)
+            old_check_formula(sub, e)
+        case _:
+            raise TypeError(f"not a formula: {phi!r}")
+
+
+def old_expand_abbreviations(phi, e, F):
+    profiles = e.all_profiles()
+
+    def dis(selected):
+        chosen = [ProfileAtom(p) for p in selected]
+        if not chosen:
+            anchor = ProfileAtom(profiles[0])
+            return And(anchor, Not(anchor))
+        return big_or(chosen)
+
+    def walk(f):
+        match f:
+            case ProfileAtom():
+                return f
+            case PrefAtom(voter=i, order=r):
+                return dis(p for p in profiles if p.pref(i) == r)
+            case CompAtom(voter=i, better=a, worse=b):
+                if a == b:
+                    return dis([])
+                return dis(p for p in profiles if p.pref(i).prefers(a, b))
+            case WinsAtom(candidate=c):
+                if F is None:
+                    raise MissingTiebreak("winner atoms need a voting rule")
+                return dis(p for p in profiles if F.winner(e, p) == c)
+            case Top():
+                return dis(profiles)
+            case Not(sub=sub):
+                return Not(walk(sub))
+            case And(left=l, right=r):
+                return And(walk(l), walk(r))
+            case Know(voter=i, sub=sub):
+                return Know(i, walk(sub))
+            case Announce(announced=a, sub=sub):
+                return Announce(walk(a), walk(sub))
+        raise TypeError(f"not a formula: {f!r}")
+
+    return walk(phi)
+
+
+def old_reduce_announcements(phi):
+    match phi:
+        case Not(sub=sub):
+            return Not(old_reduce_announcements(sub))
+        case And(left=l, right=r):
+            return And(old_reduce_announcements(l), old_reduce_announcements(r))
+        case Know(voter=i, sub=sub):
+            return Know(i, old_reduce_announcements(sub))
+        case Announce(announced=a, sub=sub):
+            return old_push(old_reduce_announcements(a),
+                            old_reduce_announcements(sub))
+        case _:
+            return phi
+
+
+def old_push(a, b):
+    match b:
+        case Not(sub=sub):
+            return Implies(a, Not(old_push(a, sub)))
+        case And(left=l, right=r):
+            return And(old_push(a, l), old_push(a, r))
+        case Know(voter=i, sub=sub):
+            return Implies(a, Know(i, Implies(a, old_push(a, sub))))
+        case _:
+            return Implies(a, b)
+
+
+CONNECTIVES = (Not, And, Know, Announce)
+
+
+def old_eq(a, b):
+    """The dataclass equality of formulas: same class and equal fields,
+    connectives compared field by field on the Python stack."""
+    if a.__class__ is not b.__class__:
+        return False
+    if not isinstance(a, CONNECTIVES):
+        return a == b
+    return all(old_eq(getattr(a, f.name), getattr(b, f.name))
+               for f in dataclasses.fields(a))
+
+
+def raised(run):
+    """run()'s value, or the type and message of the error it raised."""
+    try:
+        return run()
+    except (EpivoteError, TypeError) as err:
+        return type(err), str(err)
+
+
+NOT_FORMULAS = [And(WinsAtom("a"), 5), Not(Know(1, "x")),
+                Announce(None, TRUE), Know(9, [])]
+
+
+def assert_walks_match(phi, e, F, small):
+    """Each fold-based walk gives the old walk's text, tree or error; the
+    check also against the election small, where phi may not fit."""
+    assert raised(lambda: to_text(phi)) == raised(lambda: old_fmt(phi))
+    for where in (e, small):
+        assert (raised(lambda: logic.check_formula(phi, where))
+                == raised(lambda: old_check_formula(phi, where)))
+    for rule in (F, None):
+        new = raised(lambda: logic.expand_abbreviations(phi, e, rule))
+        old = raised(lambda: old_expand_abbreviations(phi, e, rule))
+        assert_same_tree(new, old)
+    assert_same_tree(logic.reduce_announcements(phi),
+                     old_reduce_announcements(phi))
+
+
+def assert_same_tree(new, old):
+    """Equal by the new equality and the old, with equal hashes and texts;
+    or the same error."""
+    if isinstance(old, tuple):
+        assert new == old
+        return
+    assert new == old and old == new and old_eq(new, old)
+    assert raised(lambda: hash(new)) == raised(lambda: hash(old))
+    assert raised(lambda: to_text(new)) == raised(lambda: old_fmt(old))
+
+
+E3X2 = CUBE3X2.election
+E2X1 = Election(("a", "b"), 1)
+E4X1 = Election(("a", "b", "c", "d"), 1)
+
+
+def test_walks_match_the_recursive_oracles_on_drawn_formulas():
+    """1,000 drawn formulas over 3 candidates and 2 voters, checked also
+    over 2 candidates and 1 voter, and 200 over 4 candidates and 1 voter,
+    checked also over 3 and 2: the checks reject many of them."""
+    rng = random.Random(17)
+    for e, small, count in ((E3X2, E2X1, 1000), (E4X1, E3X2, 200)):
+        rule = Plurality(e.orders()[-1])
+        for _ in range(count):
+            phi = random_formula(rng, e, depth=rng.randrange(5))
+            assert_walks_match(phi, e, rule, small)
+
+
+def test_walks_match_the_recursive_oracles_on_malformed_trees():
+    for phi in NOT_FORMULAS:
+        assert_walks_match(phi, E3X2, F, E3X2)
+
+
+def test_walks_match_the_recursive_oracles_on_fixture_formulas(
+        all_fixture_models):
+    """Every information set's characteristic formula and the sincere
+    profile's conditional-equilibrium formula of each fixture."""
+    for m in all_fixture_models.values():
+        rule = Plurality(m.tiebreak)
+        formulas = [characteristic_formula(m, block).formula
+                    for i in m.election.voters for block in m.blocks(i)]
+        formulas.append(build_concept_formula(
+            "conditional_equilibrium", m=m, F=rule,
+            cp=games.sincere_conditional_profile(m)))
+        for phi in formulas:
+            assert_walks_match(phi, m.election, rule, E3X2)
+
+
+def test_walks_match_the_recursive_oracles_on_concept_formulas():
+    rng = random.Random(19)
+    orders = E3X2.orders()
+    for i in E3X2.voters:
+        p = profile(*(rng.choice(orders).as_text() for _ in E3X2.voters))
+        for concept, args in [
+                ("manipulation_with", dict(i=i, p=p, alt=orders[1])),
+                ("has_manipulation", dict(i=i, p=p)),
+                ("dominant_manipulation", dict(i=i, alt=orders[2])),
+                ("knows_de_dicto", dict(i=i)),
+                ("knows_de_re", dict(i=i)),
+                ("equilibrium", dict(p=p))]:
+            phi = build_concept_formula(concept, e=E3X2, F=F, **args)
+            assert_walks_match(phi, E3X2, F, E3X2)
+
+
+def test_equal_formulas_hash_alike():
+    """The new equality agrees with the dataclass one on pairs of drawn
+    formulas, and equal formulas hash alike."""
+    rng = random.Random(23)
+    atoms = [WinsAtom("a"), WinsAtom("b"), TRUE]
+    for _ in range(2000):
+        # shallow draws over few atoms, so some pairs are equal
+        a, b = (random_formula(rng, Election(("a", "b"), 2), depth=2)
+                for _ in range(2))
+        a = rng.choice([a, copy.deepcopy(b), rng.choice(atoms)])
+        assert (a == b) == old_eq(a, b) == (b == a)
+        assert (a != b) == (not old_eq(a, b))
+        if a == b:
+            assert hash(a) == hash(b)
+    assert Know(1, TRUE) != Know(2, TRUE)
+    assert len({hash(Know(i, atoms[0])) for i in (1, 2, 3)}) == 3
+    assert Not(TRUE) == FALSE and hash(Not(TRUE)) == hash(FALSE)
+    assert Not(TRUE) != TRUE and Not(TRUE) != 5 and not (Not(TRUE) == "x")
+    assert Not(5) == Not(5.0) and hash(Not(5)) == hash(Not(5.0))
