@@ -44,7 +44,7 @@ class UnknownState(EpivoteError):
 
 class SizeLimit(EpivoteError):
     """An enumeration would exceed the cap ``model.SIZE_CAP`` on its item
-    count, or a formula nests deeper than the Python stack can parse or evaluate."""
+    count, or a formula nests deeper than the evaluator's Python stack."""
 
 
 class EmptySet(EpivoteError):

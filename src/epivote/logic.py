@@ -10,11 +10,8 @@ over negation and conjunction; "true" is kept primitive.
 
 Concrete syntax (whitespace-insensitive)::
 
-    formula := iff
-    iff     := implies ("<->" implies)*
-    implies := or ("->" implies)?
-    or      := and ("|" and)*
-    and     := unary ("&" unary)*
+    formula := unary | formula OP formula
+    OP      := "<->" | "->" | "|" | "&"   (loosest first; "->" groups right)
     unary   := "~" unary | "K" INT unary | "[" formula "]" unary | atom
     atom    := "(" formula ")" | "true" | "false"
              | "profile{" INT ":" order (";" INT ":" order)* "}"
@@ -25,8 +22,8 @@ Concrete syntax (whitespace-insensitive)::
 
 "K", "true", "false", "profile", "pref", and "wins" are reserved words (no
 candidate may take one as a name); an INT:order with a complete ranking is
-accepted as a pref atom. to_text is the inverse of parse up to sugar
-(parse(to_text(f)) == f for core-only f).
+accepted as a pref atom. to_text is the inverse of parse: parse(to_text(f))
+== f for every formula check_formula accepts, at any depth.
 
 The checker evaluates state by state with a memo per evaluate/denotation
 call: each K_i subformula is decided once per block, and each announcement
@@ -100,45 +97,57 @@ class Top:
 
 
 class _Connective:
-    """The dataclass equality (identity first) and hash, on an explicit stack
-    for any depth; a hash reads its subformulas' hashes. Atoms keep theirs."""
+    """The dataclass equality (identity first), hash and repr, on an explicit
+    stack for any depth and once per shared node or pair of nodes; a hash
+    reads its subformulas' hashes. Atoms keep theirs."""
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        pairs = [(self, other)]
+        pairs, seen = [(self, other)], set()  # seen: pairs of connectives
         while pairs:
             x, y = pairs.pop()
-            if x is not y:
-                if x.__class__ is y.__class__ and isinstance(x, _Connective):
-                    pairs += zip(vars(x).values(), vars(y).values())
-                elif not x == y:
-                    return False
+            if x is y or (id(x), id(y)) in seen:
+                continue
+            if x.__class__ is y.__class__ and isinstance(x, _Connective):
+                seen.add((id(x), id(y)))
+                pairs += zip(vars(x).values(), vars(y).values())
+            elif not x == y:
+                return False
         return True
 
     def __hash__(self):
         return _fold(self, lambda f, kids: hash(
             (f.voter, *kids) if type(f) is Know else tuple(kids)) if kids else hash(f))
 
+    def __repr__(self):
+        def visit(f, kids):  # the dataclass repr; Know's voter is no child
+            if not kids:
+                return repr(f)
+            heads = map(repr, list(vars(f).values())[:-len(kids)])
+            args = ", ".join(map("{}={}".format, vars(f), [*heads, *kids]))
+            return f"{type(f).__qualname__}({args})"
+        return _fold(self, visit)
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Not(_Connective):
     sub: "Formula"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class And(_Connective):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Know(_Connective):
     voter: Voter
     sub: "Formula"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Announce(_Connective):
     announced: "Formula"
     sub: "Formula"
@@ -193,18 +202,27 @@ def _rebuild(phi, kids) -> Formula:
 
 
 def _fold(phi, visit):
-    """visit(node, its children's values) at every node of phi, children
-    first and left to right, on an explicit stack: the root's value. A node
-    reached by several paths is visited once per path, as in a tree walk."""
-    values: list = []
-    stack = [(phi, None)]
+    """visit(node, its children's values) once per distinct node of phi,
+    children first and left to right, on an explicit stack: the root's
+    value. Only a node with several parents keeps its value, in a memo."""
+    parents, stack = {id(phi): 1}, [phi]  # by id: every node lives in phi
+    while stack:
+        for kid in _children(stack.pop()):
+            parents[id(kid)] = parents.get(id(kid), 0) + 1
+            if parents[id(kid)] == 1:
+                stack.append(kid)
+    memo, values, stack = {}, [], [(phi, None)]
     while stack:
         node, kids = stack.pop()
-        if kids is None and (kids := _children(node)):
+        if kids is None and id(node) in memo:
+            values.append(memo[id(node)])
+        elif kids is None and (kids := _children(node)):
             stack += [(node, kids)] + [(kid, None) for kid in reversed(kids)]
         else:
             cut = len(values) - len(kids)
             values[cut:] = [visit(node, values[cut:])]
+            if parents[id(node)] > 1:
+                memo[id(node)] = values[-1]
     return values[0]
 
 
@@ -237,6 +255,11 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
     return out
 
 
+# binary operators: (level, builder); a higher level binds tighter, and
+# "->" alone groups to the right
+_BINARY = {"<->": (1, Iff), "->": (2, Implies), "|": (3, Or), "&": (4, And)}
+
+
 class _Parser:
     def __init__(self, src: str, e: Election):
         self.toks = _tokenize(src)
@@ -260,45 +283,18 @@ class _Parser:
         if kind != "sym" or text != s:
             raise FormulaSyntaxError(pos, f"expected {s!r}, found {text!r}")
 
-    # grammar levels
-
     def formula(self) -> Formula:
-        out = self.implies()
-        while self.at_sym("<->"):
-            self.take()
-            out = Iff(out, self.implies())
-        return out
-
-    def implies(self) -> Formula:
-        left = self.disjunction()
-        if self.at_sym("->"):
-            self.take()
-            return Implies(left, self.implies())
-        return left
-
-    def disjunction(self) -> Formula:
-        out = self.conjunction()
-        while self.at_sym("|"):
-            self.take()
-            out = Or(out, self.conjunction())
-        return out
-
-    def conjunction(self) -> Formula:
-        out = self.unary()
-        while self.at_sym("&"):
-            self.take()
-            out = And(out, self.unary())
-        return out
-
-    def unary(self) -> Formula:
-        wraps = []  # a prefix chain is read in a loop, not on the Python stack
-        while True:
+        """One loop on two stacks, for brackets nested to any depth: the
+        operands that wait for a binary operator's right side, and the
+        operators, prefixes and open brackets (as their closers) pending."""
+        operands: list[Formula] = []
+        ops: list = []
+        while True:  # an operand is due
             kind, text, pos = self.take()
             if kind == "sym" and text == "~":
-                wraps.append(Not)
-            elif kind == "sym" and text == "[":
-                wraps.append(partial(Announce, self.formula()))
-                self.expect_sym("]")
+                ops.append(Not)
+            elif kind == "sym" and text in ("(", "["):
+                ops.append(")" if text == "(" else "]")
             elif kind == "word" and re.fullmatch(r"K[0-9]*", text):
                 if text == "K":
                     kind, text, pos = self.take()
@@ -306,17 +302,31 @@ class _Parser:
                         raise FormulaSyntaxError(pos, "K needs a voter number")
                 voter = int(text.removeprefix("K"))
                 self._check_voter(voter, pos)
-                wraps.append(partial(Know, voter))
+                ops.append(partial(Know, voter))
             else:
-                self.k -= 1  # no prefix: the atom starts here
-                return reduce(lambda f, wrap: wrap(f), reversed(wraps), self.atom())
+                self.k -= 1
+                out = self.atom()
+                while True:  # out is complete: wrap it, then read what follows
+                    while ops and callable(ops[-1]):
+                        out = ops.pop()(out)
+                    text = self.peek()[1]
+                    level = _BINARY[text][0] if text in _BINARY else 0
+                    while ops and ops[-1] in _BINARY and (
+                            _BINARY[ops[-1]][0] >= level + (text == "->")):
+                        out = _BINARY[ops.pop()][1](operands.pop(), out)
+                    if level:
+                        operands.append(out)
+                        ops.append(self.take()[1])
+                        break
+                    if not ops:
+                        return out
+                    self.expect_sym(closer := ops.pop())
+                    if closer == "]":
+                        ops.append(partial(Announce, out))
+                        break
 
     def atom(self) -> Formula:
         kind, text, pos = self.take()
-        if kind == "sym" and text == "(":
-            out = self.formula()
-            self.expect_sym(")")
-            return out
         if kind == "word" and text == "true":
             return TRUE
         if kind == "word" and text == "false":
@@ -410,10 +420,7 @@ class _Parser:
 
 def parse(src: str, e: Election) -> Formula:
     p = _Parser(src, e)
-    try:
-        out = p.formula()
-    except RecursionError:  # brackets nest deeper than the Python stack
-        raise SizeLimit("formula nests too deeply") from None
+    out = p.formula()
     kind, text, pos = p.peek()
     if kind != "end":
         raise FormulaSyntaxError(pos, f"trailing input {text!r}")
@@ -464,7 +471,7 @@ def _text(phi: Formula, kids: list[str]) -> str:
 def check_formula(phi: Formula, e: Election) -> None:
     """Raise if the formula mentions voters or candidates outside e; the
     first offending node in pre-order raises."""
-    stack = [phi]
+    stack, seen = [phi], set()  # seen: connectives whose subformulas are pushed
     while stack:
         phi = stack.pop()
         # the commonest nodes by an exact type test, which is cheaper than match
@@ -502,7 +509,9 @@ def check_formula(phi: Formula, e: Election) -> None:
                     pass
                 case _:
                     raise TypeError(f"not a formula: {phi!r}")
-        stack += _children(phi)[::-1]
+        if (kids := _children(phi)) and id(phi) not in seen:
+            seen.add(id(phi))
+            stack += kids[::-1]
 
 
 def _need_voter(i: Voter, e: Election):

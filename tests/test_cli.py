@@ -345,7 +345,7 @@ def test_preserve_profile_ballots_rank_every_candidate(capsys, spec):
 
 
 # formulas deeper than the Python stack: the parser and the rewriters take
-# them; the evaluator and bracketed input exit 2 with one error line
+# them at any depth; the evaluator exits 2 with one error line
 DEEP = {
     "negations": "~" * 3000 + "true",
     "knowledge": "K1 " * 3000 + "true",
@@ -364,28 +364,41 @@ DEEP_ARGV = {
 @pytest.mark.parametrize("argv, want", [
     (["check", fixture_path("hidden-flip"), "-f", "~" * 3000 + "true"], 2),
     (["check", fixture_path("hidden-flip"), "-f",
-      "(" * 200 + "true" + ")" * 200], 2),
+      "(" * 200 + "true" + ")" * 200], 0),
     (["reduce", "--model", fixture_path("hidden-flip"), "-f",
       "~" * 990 + "true"], 0),
 ] + [
     ([*DEEP_ARGV[cmd], "-f", DEEP[shape]],
-     0 if cmd == "reduce" and shape != "parentheses" else 2)
+     0 if cmd == "reduce" or shape == "parentheses" else 2)
     for cmd in DEEP_ARGV for shape in DEEP
 ], ids=["check-negations", "check-parentheses", "reduce-negations"] + [
     f"{cmd}-{shape}-deep" for cmd in DEEP_ARGV for shape in DEEP])
 def test_deep_nesting_is_an_error(capsys, argv, want):
-    """Too deep for the evaluator or for bracketed input: exit 2 with one
-    error line. reduce takes any depth of prefixes and conjuncts, and its
-    output parses back when its brackets are shallow."""
+    """Too deep for the evaluator: exit 2 with one error line. Brackets
+    nest to any depth, so bracketed `true` reads as `true`; reduce takes
+    any depth of prefixes and conjuncts, and its output parses back."""
     code, out, err = run(capsys, *argv)
     assert code == want
     if want == 2:
         assert err == "error: formula nests too deeply\n"
         return
     assert err == ""
-    if "(" not in out:
+    if argv[0] == "reduce":
         e = Election(("a", "b", "c"), 2)
         assert parse(out.strip(), e) == parse(argv[-1], e)
+    else:
+        assert (0, out, "") == run(capsys, *argv[:-1], "true")
+
+
+def test_reduce_output_is_checkable(capsys):
+    """reduce prints a 200-term disjunction nested 199 brackets deep;
+    check reads it back and evaluates it."""
+    code, out, _ = run(capsys, *DEEP_ARGV["reduce"],
+                       "-f", " | ".join(["1: a>b"] * 200))
+    assert code == 0 and out.count("(") == 199
+    code, out, err = run(capsys, "check", fixture_path("hidden-flip"),
+                         "--all-states", "-f", out.strip())
+    assert (code, out, err) == (1, "t: true\nu: false\n", "")
 
 
 def test_hunt_finds_and_repeats(capsys):

@@ -1,6 +1,9 @@
 """Formula language: parsing, printing, semantics, axioms, translations."""
 
+import ast
+import pathlib
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +30,7 @@ from epivote import (
     UnknownVoter,
     WinsAtom,
     big_and,
+    big_or,
     build_concept_formula,
     characteristic_formula,
     check_axioms,
@@ -48,6 +52,7 @@ from epivote import (
     valid_on,
 )
 from conftest import random_formula
+from epivote import logic
 
 E2 = Election(("a", "b", "c"), 2)
 F = Plurality(pref("b>a>c"))
@@ -413,21 +418,157 @@ def test_concept_formulas_over_four_candidates_hash(concept, args):
     assert hash(phi) == hash(again) and phi == again
 
 
-def test_hunt_announcement_over_a_large_model_prints():
+def large_hunt_announcement():
     rng = random.Random(0)
     m = random_model(rng, Election(("a", "b", "c", "d"), 4), 1000)
     assert len(m.states) == 866
-    phi = random_announcement(rng, m)
+    return m.election, random_announcement(rng, m)
+
+
+def test_hunt_announcement_over_a_large_model_prints():
+    phi = large_hunt_announcement()[1]
     assert to_text(phi).count("profile{") > 400
+
+
+def test_hunt_announcement_over_a_large_model_parses_back():
+    e, phi = large_hunt_announcement()
+    assert parse(to_text(phi), e) == phi
+
+
+def right_nested_and(n):
+    phi = WinsAtom("a")
+    for _ in range(n - 1):
+        phi = And(WinsAtom("b"), phi)
+    return phi
+
+
+@pytest.mark.parametrize("phi", [
+    big_or(WinsAtom(c) for c in "abc" * 200),
+    right_nested_and(3000),
+], ids=["or-600", "and-3000"])
+def test_deep_formulas_parse_back(phi):
+    """Each prints inside some 600 or 3,000 nested brackets (prefix chains
+    are checked above)."""
+    text = to_text(phi)
+    assert parse(text, E2) == phi
+    assert to_text(parse(text, E2)) == text
+
+
+def test_brackets_nest_to_any_depth():
+    assert parse("(" * 3000 + "true" + ")" * 3000, E2) == TRUE
+    deep = parse("[" * 3000 + "wins a" + "] wins b" * 3000, E2)
+    assert to_text(deep).startswith("[" * 3000)
+    with pytest.raises(FormulaSyntaxError, match="^position 6003: expected"):
+        parse("(" * 3000 + "true" + ")" * 2999, E2)
+
+
+def iff_chain(n):
+    """n `wins a` atoms joined by <->: each Iff shares its two operands
+    between its two implications, so the tree has 2^(n-1) paths."""
+    return parse(" <-> ".join(["wins a"] * n), E2)
+
+
+def doubled(rounds):
+    phi = WinsAtom("a")
+    for _ in range(rounds):
+        phi = And(phi, phi)
+    return phi
+
+
+def within_a_second(run):
+    """run(), or a failure once it has taken a second. The failure carries
+    no frame of run, whose arguments may be too large to print."""
+    def expire(*_):
+        raise TimeoutError
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        return run()
+    except TimeoutError:
+        pass
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    pytest.fail("took a second or more")
+
+
+@pytest.mark.parametrize("build, arg", [(iff_chain, 18), (doubled, 40)],
+                         ids=["iff-chain-18", "doubled-40"])
+def test_shared_subformulas_are_walked_once(build, arg):
+    phi, again, shorter = build(arg), build(arg), build(arg - 1)
+
+    def walks():
+        assert hash(phi) == hash(again)
+        assert phi == again and not phi != again
+        assert phi != shorter
+        check_formula(phi, E2)
+
+    within_a_second(walks)
+
+
+def test_repr_of_a_deep_formula():
+    deep = big_and([TRUE] * 5000)
+    try:
+        text = repr(deep)
+    except RecursionError:  # caught, so no traceback prints deep's frames
+        text = "RecursionError"
+    assert text == "And(left=" * 4999 + "Top()" + ", right=Top())" * 4999
+    assert repr(And(Not(TRUE), Know(1, WinsAtom("a")))) == (
+        "And(left=Not(sub=Top()), right=Know(voter=1, sub=WinsAtom(candidate='a')))")
 
 
 def test_too_deep_to_evaluate_is_a_size_limit(nested_doubt):
     deep = big_and([TRUE] * 5000)
     for run in (lambda: denotation(nested_doubt, F, deep),
                 lambda: evaluate(nested_doubt.pointed(), F, deep),
-                lambda: valid_on(nested_doubt, F, deep),
-                lambda: parse("(" * 400 + "true" + ")" * 400, E2)):
+                lambda: valid_on(nested_doubt, F, deep)):
         with pytest.raises(SizeLimit, match="^formula nests too deeply$"):
             run()
     assert to_text(deep) == " & ".join(["true"] * 5000)
     check_formula(deep, E2)
+
+
+def call_graph(path):
+    """Each function of the module at path, and each method as
+    Class.method, with the names it calls and the methods it calls on self."""
+    graph = {}
+    tree = ast.parse(pathlib.Path(path).read_text())
+    scopes = [(None, tree)] + [(c.name, c) for c in tree.body
+                               if isinstance(c, ast.ClassDef)]
+    for owner, scope in scopes:
+        for fn in scope.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            callees = graph[f"{owner}.{fn.name}" if owner else fn.name] = set()
+            for call in ast.walk(fn):
+                f = call.func if isinstance(call, ast.Call) else None
+                if isinstance(f, ast.Name):
+                    callees.add(f.id)
+                elif (owner and isinstance(f, ast.Attribute)
+                      and isinstance(f.value, ast.Name) and f.value.id == "self"):
+                    callees.add(f"{owner}.{f.attr}")
+    return graph
+
+
+def reaches_itself(graph):
+    """The names of graph from which a chain of calls leads back."""
+    out = set()
+    for start in graph:
+        todo, seen = list(graph[start]), set()
+        while todo:
+            name = todo.pop()
+            if name == start:
+                out.add(start)
+            elif name in graph and name not in seen:
+                seen.add(name)
+                todo += graph[name]
+    return out
+
+
+def test_only_the_evaluator_recurses():
+    """No parser method reaches itself, directly or through brackets, and
+    _eval is the one function of the package that calls itself."""
+    modules = pathlib.Path(logic.__file__).parent.glob("*.py")
+    assert {(p.name, name) for p in modules
+            for name in reaches_itself(call_graph(p))} == {("logic.py", "_eval")}
+    assert any(name.startswith("_Parser.") for name in call_graph(logic.__file__))

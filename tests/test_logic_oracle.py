@@ -15,16 +15,21 @@ in two passes. ``old_has_manipulation``, ``old_knows_de_dicto``,
 tried every ballot, not one per ballot class. ``old_fmt``,
 ``old_check_formula``, ``old_expand_abbreviations``,
 ``old_reduce_announcements`` and ``old_eq`` are the tree walks that recursed
-on the Python stack before the explicit-stack fold. Models come from the
-``pointed_models`` strategy in conftest, the five fixtures and the
-hypercubes.
+on the Python stack before the explicit-stack fold; ``old_repr`` is the
+dataclass repr they printed with. ``old_parse`` is the recursive-descent
+parser, one method per precedence level, that the precedence loop
+replaced. Models come from the ``pointed_models`` strategy in conftest,
+the five fixtures and the hypercubes.
 """
 
+import ast
 import copy
 import dataclasses
 import functools
 import itertools
+import pathlib
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -45,9 +50,11 @@ from epivote import (
     Plurality,
     PrefAtom,
     ProfileAtom,
+    SizeLimit,
     TRUE,
     EpivoteError,
     FALSE,
+    FormulaSyntaxError,
     IncompleteProfileAtom,
     Top,
     WinsAtom,
@@ -877,3 +884,216 @@ def test_equal_formulas_hash_alike():
     assert Not(TRUE) == FALSE and hash(Not(TRUE)) == hash(FALSE)
     assert Not(TRUE) != TRUE and Not(TRUE) != 5 and not (Not(TRUE) == "x")
     assert Not(5) == Not(5.0) and hash(Not(5)) == hash(Not(5.0))
+
+
+# ------------------------------------------------ the recursive-descent parser
+
+class OldParser(logic._Parser):
+    """The grammar levels the precedence loop replaced: one method per
+    level, with brackets read by atom on the Python stack."""
+
+    def formula(self):
+        out = self.implies()
+        while self.at_sym("<->"):
+            self.take()
+            out = logic.Iff(out, self.implies())
+        return out
+
+    def implies(self):
+        left = self.disjunction()
+        if self.at_sym("->"):
+            self.take()
+            return Implies(left, self.implies())
+        return left
+
+    def disjunction(self):
+        out = self.conjunction()
+        while self.at_sym("|"):
+            self.take()
+            out = logic.Or(out, self.conjunction())
+        return out
+
+    def conjunction(self):
+        out = self.unary()
+        while self.at_sym("&"):
+            self.take()
+            out = And(out, self.unary())
+        return out
+
+    def unary(self):
+        wraps = []
+        while True:
+            kind, text, pos = self.take()
+            if kind == "sym" and text == "~":
+                wraps.append(Not)
+            elif kind == "sym" and text == "[":
+                wraps.append(functools.partial(Announce, self.formula()))
+                self.expect_sym("]")
+            elif kind == "word" and re.fullmatch(r"K[0-9]*", text):
+                if text == "K":
+                    kind, text, pos = self.take()
+                    if kind != "int":
+                        raise FormulaSyntaxError(pos, "K needs a voter number")
+                voter = int(text.removeprefix("K"))
+                self._check_voter(voter, pos)
+                wraps.append(functools.partial(Know, voter))
+            else:
+                self.k -= 1
+                return functools.reduce(lambda f, wrap: wrap(f),
+                                        reversed(wraps), self.atom())
+
+    def atom(self):
+        if self.at_sym("("):
+            self.take()
+            out = self.formula()
+            self.expect_sym(")")
+            return out
+        return super().atom()
+
+
+def old_parse(src, e):
+    p = OldParser(src, e)
+    try:
+        out = p.formula()
+    except RecursionError:
+        raise SizeLimit("formula nests too deeply") from None
+    kind, text, pos = p.peek()
+    if kind != "end":
+        raise FormulaSyntaxError(pos, f"trailing input {text!r}")
+    return out
+
+
+def parsed(parser, src, e):
+    """parser's tree, or the type, message and position of its error."""
+    try:
+        return parser(src, e)
+    except EpivoteError as err:
+        return type(err), str(err), getattr(err, "pos", None)
+
+
+def sharing(phi):
+    """phi's connectives in pre-order, each as the number of the first
+    occurrence of that node: equal lists mean equally shared nodes."""
+    first, out, stack = {}, [], [phi]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, CONNECTIVES):
+            out.append(first.setdefault(id(f), len(first)))
+            stack += reversed([getattr(f, x.name) for x in dataclasses.fields(f)])
+    return out
+
+
+def assert_parses_alike(src, e):
+    new, old = parsed(parse, src, e), parsed(old_parse, src, e)
+    assert new == old, src
+    if not isinstance(old, tuple):
+        assert sharing(new) == sharing(old), src
+
+
+def vocabulary(e):
+    """Whole atoms over e, and tokens: the operators, brackets, and some
+    that cannot start or continue a formula over e."""
+    c, order = e.candidates, ">".join(e.candidates)
+    atoms = [f"wins {c[0]}", f"1: {c[0]}>{c[-1]}", f"pref 1({order})",
+             "profile{" + "; ".join(f"{v}: {order}" for v in e.voters) + "}",
+             "true", "false"]
+    tokens = ["{", "}", ":", ";", ">", "K", "K1", f"K{e.num_voters + 1}",
+              "1", "2", "wins", "pref", "profile", *c, "z", "@"]
+    return atoms, ["~", "K1", "&", "|", "->", "<->", "(", ")", "[", "]"], tokens
+
+
+def formula_tokens(rng, atoms, depth):
+    """The tokens of a random well-formed formula over the given atoms."""
+    if depth == 0 or rng.random() < 0.25:
+        return [rng.choice(atoms)]
+    kind = rng.randrange(5)
+    if kind == 0:
+        return [rng.choice(["~", "K1"])] + formula_tokens(rng, atoms, depth - 1)
+    if kind == 1:
+        return (["["] + formula_tokens(rng, atoms, depth - 1) + ["]"]
+                + formula_tokens(rng, atoms, depth - 1))
+    if kind == 2:
+        return ["("] + formula_tokens(rng, atoms, depth - 1) + [")"]
+    return (formula_tokens(rng, atoms, depth - 1)
+            + [rng.choice(["&", "|", "->", "<->"])]
+            + formula_tokens(rng, atoms, depth - 1))
+
+
+def token_soup(rng, vocab):
+    """Random tokens and whole atoms, or a well-formed formula with up to
+    two tokens replaced, inserted or deleted; separated by spaces or not
+    at all."""
+    atoms, syntax, tokens = vocab
+    if rng.random() < 0.5:
+        pool = atoms * 3 + syntax * 2 + tokens
+        out = [rng.choice(pool) for _ in range(rng.randint(1, 12))]
+    else:
+        out = formula_tokens(rng, atoms, rng.randrange(5))
+        for _ in range(rng.randrange(3)):
+            k = rng.randrange(len(out) + 1)
+            out[k:k + rng.randrange(2)] = rng.choice(
+                [[], [rng.choice(syntax + tokens)]])
+    return rng.choice([" ", " ", ""]).join(out)
+
+
+SHAPES = {"3x2": E3X2, "2x1": E2X1, "4x3": Election(("a", "b", "c", "d"), 3)}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_parser_matches_the_recursive_oracle_on_token_soup(monkeypatch, shape):
+    """100,000 strings per shape. Both parsers read the tokens of one
+    tokenizer call: the tokenizer is shared and takes half the time."""
+    monkeypatch.setattr(logic, "_tokenize",
+                        functools.lru_cache(maxsize=1)(logic._tokenize))
+    e, rng = SHAPES[shape], random.Random(shape)
+    vocab = vocabulary(e)
+    for _ in range(100_000):
+        assert_parses_alike(token_soup(rng, vocab), e)
+
+
+def test_printed_formulas_parse_back_as_the_oracle_reads_them():
+    """to_text of drawn formulas over each election shape: parse gives the
+    formula back, and the recursive parser the same tree."""
+    rng = random.Random(29)
+    for e, count in zip(SHAPES.values(), (700, 700, 150)):
+        for _ in range(count):
+            phi = random_formula(rng, e, depth=rng.randrange(6))
+            assert parse(to_text(phi), e) == phi
+            assert_parses_alike(to_text(phi), e)
+
+
+def string_literals():
+    """Every string constant in the test modules."""
+    return sorted({node.value for path in pathlib.Path(__file__).parent.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)})
+
+
+def test_parser_matches_the_recursive_oracle_on_the_tests_strings():
+    """Every string in the tests, formula or not, over each election shape."""
+    texts = string_literals()
+    assert "pref 1(a>b>c) & ~(K1 wins b & true)" in texts
+    for e in SHAPES.values():
+        for text in texts:
+            assert_parses_alike(text, e)
+
+
+def old_repr(phi):
+    """The dataclass repr of a formula, field by field on the Python stack."""
+    if not isinstance(phi, CONNECTIVES):
+        return repr(phi)
+    args = ", ".join(f"{f.name}={old_repr(getattr(phi, f.name))}"
+                     for f in dataclasses.fields(phi))
+    return f"{type(phi).__qualname__}({args})"
+
+
+def test_repr_matches_the_dataclass_repr():
+    rng = random.Random(31)
+    for e, count in zip(SHAPES.values(), (300, 300, 50)):
+        for _ in range(count):
+            phi = random_formula(rng, e, depth=rng.randrange(6))
+            assert repr(phi) == old_repr(phi)
+    for phi in NOT_FORMULAS + [FALSE, Know(2, FALSE), Announce(TRUE, TRUE)]:
+        assert repr(phi) == old_repr(phi)
+    assert old_repr(Know(1, WinsAtom("a"))) == (
+        "Know(voter=1, sub=WinsAtom(candidate='a'))")
