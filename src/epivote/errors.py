@@ -1,7 +1,12 @@
 """Exception types shared across the package.
 
-Every error raised by the library derives from EpivoteError so the CLI can map
-any failure to exit code 2 without enumerating causes.
+The library raises two kinds of error. Faults of a model, a formula or a
+size cap derive from EpivoteError. A bad argument value raises the builtin
+ValueError: an Election or Preference that cannot be built, a conditional
+profile of the wrong shape (games), a grid of other than two voters
+(payoff_matrix), an unknown mode (knows_manipulation), and an unknown
+property, a budget or a state count out of range (dynamics). The CLI maps
+both, and OSError, to exit code 2 without enumerating causes.
 """
 
 

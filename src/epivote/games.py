@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
-from .errors import PartitionError, SizeLimit
 from .model import (
     Candidate,
     Election,
@@ -88,7 +87,7 @@ def conditional_profile(m: ProfileModel, choices) -> ConditionalProfile:
 def induced_votes(m: ProfileModel, cp: ConditionalProfile, state: str) -> Profile:
     """The ballot each voter actually casts if the state is `state`."""
     _check_shape(m, cp)
-    ks = _blocks_at(m, m.index(state))
+    ks = m.block_ids_at(m.index(state))
     return Profile(tuple(row[k] for row, k in zip(cp, ks)))
 
 
@@ -99,7 +98,7 @@ def induced_winners(
     _check_shape(m, cp)
     return tuple(
         F.winner(m.election,
-                 Profile(tuple(row[k] for row, k in zip(cp, _blocks_at(m, si)))))
+                 Profile(tuple(row[k] for row, k in zip(cp, m.block_ids_at(si)))))
         for si in range(len(m.states))
     )
 
@@ -120,20 +119,6 @@ def _check_shape(m: ProfileModel, cp: ConditionalProfile) -> None:
                 raise ValueError(
                     f"voter {i}: ballot {ballot.as_text()} does not rank every "
                     f"candidate exactly once")
-
-
-def _blocks_at(m: ProfileModel, si: int) -> tuple[int, ...]:
-    """Each voter's block number at the si-th state.
-
-    Raises PartitionError when some voter's partition does not cover it.
-    """
-    ks = tuple(m.block_ids(i)[si] for i in m.election.voters)
-    if -1 in ks:
-        raise PartitionError(
-            f"voter {ks.index(-1) + 1}'s partition does not cover state "
-            f"{m.states[si]!r}"
-        )
-    return ks
 
 
 def worst_winner(
@@ -176,9 +161,9 @@ class _Game:
     Ballots sit in slots, one per virtual voter in virtual_voters order, so
     slot order is the flattened conditional profile; voter i's slots run
     from bounds[i-1] to bounds[i]. ``classes`` are F's ballot classes over
-    e.orders() (see ballot_classes). Players are built when first reached,
-    so a check that stops at an improving virtual voter builds none after
-    her.
+    e.orders() (see ballot_classes). ``players`` holds one _Player per
+    virtual voter in slot order. ``outcomes`` is the one outcome memo,
+    keyed by the tuple of slot keys.
     """
 
     def __init__(self, m: ProfileModel, F: VotingRule):
@@ -189,9 +174,18 @@ class _Game:
             (len(m.blocks(i)) for i in e.voters), initial=0))
         # per state in file order, the slot of each voter's ballot there;
         # PartitionError when some voter's partition misses a state
-        self.at = [tuple(o + k for o, k in zip(self.bounds, _blocks_at(m, si)))
+        self.at = [tuple(o + k for o, k in zip(self.bounds, m.block_ids_at(si)))
                    for si in range(len(m.states))]
-        self._players: list[_Player] = []
+        self.players: list[_Player] = []
+        for i in e.voters:
+            for block in m.blocks(i):
+                truth = m.profile_at(block[0]).pref(i)
+                states = tuple(map(m.index, block))
+                self.players.append(_Player(
+                    i, block, len(self.players),
+                    {c: truth.rank_value(c) for c in truth.order},
+                    states, tuple(self.at[si] for si in states)))
+        self.outcomes: dict[tuple, tuple[str, str]] = {}
         first, memo = dict(self.classes), {}
 
         def winner(keys: tuple) -> Candidate:
@@ -211,45 +205,30 @@ class _Game:
         key = self.key
         return tuple(key(b) for row in cp for b in row)
 
-    def players(self) -> Iterator[_Player]:
-        """One _Player per virtual voter in slot order, built when reached."""
-        m, built = self.m, self._players
-        slot = 0
-        for i in m.election.voters:
-            for block in m.blocks(i):
-                if slot == len(built):
-                    truth = m.profile_at(block[0]).pref(i)
-                    states = tuple(map(m.index, block))
-                    built.append(_Player(
-                        i, block, slot,
-                        {c: truth.rank_value(c) for c in truth.order},
-                        states, tuple(self.at[si] for si in states)))
-                yield built[slot]
-                slot += 1
-
-    @cached_property
-    def all_players(self) -> list[_Player]:
-        """players(), all built: outcome reads every one on every call."""
-        return list(self.players())
-
     def outcome(self, keys: tuple) -> tuple[str, str]:
         """The winners string ('bbc': the winner at each state in file
         order, joined as _joined does) and the payoff string ('11.1': the
         worst-case rank per information set, voters separated by dots) of
-        any conditional profile whose slots hold ballots with these keys."""
-        winner = self.winner
-        won = [winner(tuple(map(keys.__getitem__, slots))) for slots in self.at]
-        digits = [str(min(p.rank[won[si]] for si in p.states))
-                  for p in self.all_players]
-        cuts = zip(self.bounds, self.bounds[1:])
-        return _joined(won), ".".join("".join(digits[a:b]) for a, b in cuts)
+        any conditional profile whose slots hold ballots with these keys,
+        computed once per key tuple."""
+        got = self.outcomes.get(keys)
+        if got is None:
+            winner = self.winner
+            won = [winner(tuple(map(keys.__getitem__, slots)))
+                   for slots in self.at]
+            digits = [str(min(p.rank[won[si]] for si in p.states))
+                      for p in self.players]
+            cuts = zip(self.bounds, self.bounds[1:])
+            got = self.outcomes[keys] = (
+                _joined(won), ".".join("".join(digits[a:b]) for a, b in cuts))
+        return got
 
     def equilibrium(
         self, cp: ConditionalProfile
     ) -> tuple[bool, tuple[VirtualVoter, Preference] | None]:
         """is_conditional_equilibrium of cp on this game's model and rule."""
         keys = self.keys_of(cp)
-        for p in self.players():
+        for p in self.players:
             alt = _first_improvement(self, p, keys)
             if alt is not None:
                 return False, (VirtualVoter(p.voter, p.block), alt)
@@ -336,7 +315,7 @@ def _search(game: _Game, space: list[Preference]) -> Iterator[tuple[int, ...]]:
     """
     n = game.bounds[-1]
     due: list[list[tuple[_Player, itemgetter, dict]]] = [[] for _ in range(n)]
-    for p in game.players():
+    for p in game.players:
         scope = sorted({p.slot}.union(*p.rows))
         due[scope[-1]].append((p, itemgetter(*scope), {}))
     space_keys = [game.key(b) for b in space]
@@ -430,15 +409,7 @@ def outcome_strings(
     Raises ValueError for a profile of the wrong shape, as induced_winners.
     """
     game = _Game(m, F)
-    memo: dict[tuple, tuple[str, str]] = {}
-    out = []
-    for cp in cps:
-        keys = game.keys_of(cp)
-        got = memo.get(keys)
-        if got is None:
-            got = memo[keys] = game.outcome(keys)
-        out.append(got)
-    return out
+    return [game.outcome(game.keys_of(cp)) for cp in cps]
 
 
 @dataclass(frozen=True)
@@ -473,29 +444,25 @@ def payoff_matrix(
     """Full winners/payoff grids with equilibrium flags, two voters only.
 
     Strategies whose ballots have equal keys under F (see ballot_classes)
-    have equal cells, so each cell's winners and payoffs are computed once
-    per pair of a row's and a column's key tuples (see _Game.outcome): 81 times
-    instead of 1,296 on the full three-candidate plurality grid with two
-    blocks per voter. A rule without a ballot key computes every cell. The
-    cells of the equilibria that enumerate_conditional_equilibria lists are
-    starred by their row and column positions.
+    have equal cells, and _Game.outcome computes once per key tuple: 81
+    times instead of 1,296 on the full three-candidate plurality grid with
+    two blocks per voter. A rule without a ballot key computes every cell.
+    The cells of the equilibria that enumerate_conditional_equilibria lists
+    are starred by their row and column positions. Raises ValueError unless
+    the model has two voters.
     """
     e = m.election
     if e.num_voters != 2:
-        raise SizeLimit("matrix display needs exactly two voters")
+        raise ValueError("matrix display needs exactly two voters")
     n1, n2 = len(m.blocks(1)), len(m.blocks(2))
     check_size(ballot_count(e, by_top) ** (n1 + n2), "cells")
     space = ballot_space(e, by_top)
     rows = list(itertools.product(space, repeat=n1))
     cols = list(itertools.product(space, repeat=n2))
     game = _Game(m, F)
-    row_keys, row_class = _key_classes(rows, game.key)
-    col_keys, col_class = _key_classes(cols, game.key)
-    winners, payoffs = [], []
-    for rk in row_keys:
-        cells = [game.outcome(rk + ck) for ck in col_keys]
-        winners.append(tuple(cells[k][0] for k in col_class))
-        payoffs.append(tuple(cells[k][1] for k in col_class))
+    row_keys = [tuple(map(game.key, r)) for r in rows]
+    col_keys = [tuple(map(game.key, c)) for c in cols]
+    cells = [[game.outcome(rk + ck) for ck in col_keys] for rk in row_keys]
 
     def place(positions) -> int:
         """Where these ballot positions come in itertools.product over space."""
@@ -507,18 +474,10 @@ def payoff_matrix(
     return PayoffMatrix(
         row_labels=tuple(strategy_label(r, by_top) for r in rows),
         col_labels=tuple(strategy_label(c, by_top) for c in cols),
-        winners=tuple(winners[k] for k in row_class),
-        payoffs=tuple(payoffs[k] for k in row_class),
+        winners=tuple(tuple(w for w, _ in row) for row in cells),
+        payoffs=tuple(tuple(p for _, p in row) for row in cells),
         equilibria=tuple(map(tuple, stars)),
     )
-
-
-def _key_classes(strategies, key) -> tuple[list[tuple], list[int]]:
-    """The distinct key tuples of strategies in first-seen order, and the
-    number of each strategy's key tuple in that list."""
-    first: dict[tuple, int] = {}
-    of = [first.setdefault(tuple(map(key, s)), len(first)) for s in strategies]
-    return list(first), of
 
 
 def render_matrix(mat: PayoffMatrix) -> str:

@@ -48,7 +48,7 @@ from .errors import (
     UnknownCandidate,
     UnknownVoter,
 )
-from .games import ConditionalProfile, _blocks_at, _Game
+from .games import ConditionalProfile, _Game
 from .model import (
     RESERVED_WORDS,
     Candidate,
@@ -228,29 +228,24 @@ def _fold(phi, visit):
 
 # ---------------------------------------------------------------- parsing
 
+# whitespace, the three token kinds, and any other character, which is an
+# error; the kinds are disjoint by their first character
 _TOKEN = re.compile(
-    r"(<->|->|[~&|()\[\]{}:;>]|[A-Za-z_][A-Za-z0-9_]*|[0-9]+)"
+    r"\s+|(?P<sym><->|->|[~&|()\[\]{}:;>])|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<int>[0-9]+)|(?P<bad>.)",
+    re.DOTALL,
 )
 
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
     out = []
-    pos = 0
-    while pos < len(src):
-        if src[pos].isspace():
-            pos += 1
-            continue
-        mtc = _TOKEN.match(src, pos)
-        if not mtc:
-            raise FormulaSyntaxError(pos, f"unexpected character {src[pos]!r}")
-        text = mtc.group(0)
-        if text.isdigit():
-            out.append(("int", text, pos))
-        elif text[0].isalpha() or text[0] == "_":
-            out.append(("word", text, pos))
-        else:
-            out.append(("sym", text, pos))
-        pos = mtc.end()
+    for mtc in _TOKEN.finditer(src):
+        kind = mtc.lastgroup
+        if kind == "bad":
+            raise FormulaSyntaxError(
+                mtc.start(), f"unexpected character {mtc.group()!r}")
+        if kind is not None:
+            out.append((kind, mtc.group(), mtc.start()))
     out.append(("end", "", len(src)))
     return out
 
@@ -776,7 +771,7 @@ def _refine(m: ProfileModel) -> tuple[list[int], list[Formula]]:
     state, and per state a formula true at exactly its class's states (see
     characteristic_formula). Stops at the first round that splits nothing."""
     voters = m.election.voters
-    at = [_blocks_at(m, si) for si in range(len(m.states))]
+    at = [m.block_ids_at(si) for si in range(len(m.states))]
     cls = _group(m.profiles)
     table: list[Formula] = [ProfileAtom(p) for p in m.profiles]
     while True:
@@ -925,7 +920,7 @@ def formula_conditional_equilibrium(
     game = _Game(m, F)
     keys, winner = game.keys_of(cp), game.winner
     conjuncts = []
-    for p in game.players():
+    for p in game.players:
         vi, rank = p.voter - 1, p.rank.__getitem__
         base = [tuple(map(keys.__getitem__, row)) for row in p.rows]
         here = min(map(winner, base), key=rank)

@@ -254,15 +254,27 @@ class ProfileModel:
         except KeyError:
             raise self._unknown(voter) from None
 
+    def block_ids_at(self, si: int) -> tuple[int, ...]:
+        """Each voter's block number at the si-th state, voters ascending.
+
+        Raises PartitionError when some voter's partition does not cover it.
+        """
+        ks = tuple(self.block_ids(i)[si] for i in self.election.voters)
+        if -1 in ks:
+            raise self._uncovered(ks.index(-1) + 1, self.states[si])
+        return ks
+
     def _unknown(self, voter) -> UnknownVoter:
         return UnknownVoter(f"no voter {voter} in 1..{self.election.num_voters}")
+
+    def _uncovered(self, voter, state) -> PartitionError:
+        return PartitionError(
+            f"voter {voter}'s partition does not cover state {state!r}")
 
     def block_of(self, voter: Voter, state: str) -> InformationSet:
         k = self.block_ids(voter)[self.index(state)]
         if k < 0:
-            raise PartitionError(
-                f"voter {voter}'s partition does not cover state {state!r}"
-            )
+            raise self._uncovered(voter, state)
         return self.blocks(voter)[k]
 
     def profiles_of(self, block: InformationSet) -> list[Profile]:

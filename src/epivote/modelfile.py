@@ -153,6 +153,10 @@ def _split_state_line(lineno: int, line: str) -> tuple[str, str]:
     parts = head.split()
     if len(parts) != 2:
         raise ModelSyntaxError(lineno, "expected 'state NAME = ...'")
+    if "{" in parts[1] or "}" in parts[1]:
+        # an indist line could not list it: braces delimit its blocks
+        raise ModelSyntaxError(
+            lineno, f"state name {parts[1]!r} contains a brace")
     return parts[1], rest
 
 

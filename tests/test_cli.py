@@ -259,6 +259,30 @@ def test_cube_without_tiebreak_error_names_the_option(capsys, tmp_path):
     assert "--tiebreak" in lines[0]
 
 
+def test_matrix_of_one_voter_exits_two(capsys, tmp_path):
+    path = tmp_path / "one.model"
+    path.write_text("candidates: a b\nvoters: 1\ntiebreak: a b\n"
+                    "state s = 1: a>b\n")
+    code, out, err = run(capsys, "equilibria", str(path), "--matrix")
+    assert (code, out) == (2, "")
+    assert err == "error: matrix display needs exactly two voters\n"
+
+
+def test_brace_in_a_state_name_exits_two_at_load(capsys, tmp_path):
+    """An indist line could not list the state, so no command reads it and
+    update writes no file that axioms would reject."""
+    path = tmp_path / "odd.model"
+    path.write_text("candidates: a b\nvoters: 1\nstate a}b = 1: a>b\n"
+                    "state t = 1: b>a\n")
+    out_file = tmp_path / "out.model"
+    for argv in (["axioms", str(path)],
+                 ["update", str(path), "-f", "true", "-o", str(out_file)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: line 3: state name 'a}b' contains a brace\n"
+    assert not out_file.exists()
+
+
 def test_hypercube_bad_tiebreak(capsys):
     code, _, err = run(capsys, "hypercube", "--candidates", "a,b",
                        "--voters", "1", "--tiebreak", "x>y")

@@ -353,12 +353,15 @@ def test_search_matches_brute_force(all_fixture_models):
 
 
 def test_matrix_requires_two_voters():
+    """A one-voter model is a wrong input, not one over a size cap."""
     m = make_model(
         Election(("a", "b"), 1), ["x"], [profile("a>b")],
         tiebreak=pref("a>b"),
     )
-    with pytest.raises(SizeLimit):
+    with pytest.raises(ValueError) as err:
         payoff_matrix(m, Plurality(pref("a>b")))
+    assert not isinstance(err.value, SizeLimit)
+    assert str(err.value) == "matrix display needs exactly two voters"
 
 
 def test_over_cap_grid_refuses_before_building():

@@ -9,7 +9,9 @@ the grid's cells and ``outcome_strings``. Models come from the ``pointed_models`
 """
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -170,51 +172,63 @@ def test_keyless_rule_has_one_class_per_ballot(hidden_flip):
         (b, b) for b in orders]
 
 
+class Stores(dict):
+    """An outcome memo that counts its stores: one per computation."""
+
+    stores = 0
+
+    def __setitem__(self, key, value):
+        self.stores += 1
+        super().__setitem__(key, value)
+
+
+@contextmanager
+def built_games():
+    """The game tables built inside the block, each with a counting memo."""
+    built = []
+    init = games._Game.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        self.outcomes = Stores()
+        built.append(self)
+
+    with mock.patch.object(games._Game, "__init__", recorded):
+        yield built
+
+
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(m=pointed_models(), data=st.data())
 def test_outcome_strings_match_the_per_profile_strings(m, data):
-    cps = data.draw(st.lists(conditional_profiles(m), min_size=1, max_size=8))
-    cps += cps[:2]  # repeats are read back from the memo
+    drawn = data.draw(st.lists(conditional_profiles(m), min_size=1, max_size=8))
+    cps = drawn + drawn[:2]  # repeats are read back from the memo
     for F in (Plurality(m.tiebreak), Veto(m.tiebreak)):
-        assert outcome_strings(m, F, cps) == [
+        with built_games() as built:
+            got = outcome_strings(m, F, cps)
+        assert got == [
             (winners_string(m, F, cp), payoff_string(m, F, cp)) for cp in cps]
+        (game,) = built
+        distinct = {game.keys_of(cp) for cp in cps}
+        assert game.outcomes.stores == len(distinct) <= len(drawn)
 
 
-def count_outcomes(monkeypatch):
-    calls = []
-    outcome = games._Game.outcome
-
-    def counted(*args):
-        calls.append(None)
-        return outcome(*args)
-
-    monkeypatch.setattr(games._Game, "outcome", counted)
-    return calls
-
-
-def test_grid_builds_one_game(mutual_doubt, monkeypatch):
+def test_grid_builds_one_game(mutual_doubt):
     """The grid's cells and its equilibrium search read one game table."""
-    calls = []
-    init = games._Game.__init__
-
-    def counted(*args):
-        calls.append(None)
-        init(*args)
-
-    monkeypatch.setattr(games._Game, "__init__", counted)
-    payoff_matrix(mutual_doubt, Plurality(mutual_doubt.tiebreak), False)
-    assert len(calls) == 1
+    with built_games() as built:
+        payoff_matrix(mutual_doubt, Plurality(mutual_doubt.tiebreak), False)
+    assert len(built) == 1
 
 
-def test_full_grid_computes_once_per_key_pair(mutual_doubt, monkeypatch):
+def test_full_grid_computes_once_per_key_pair(mutual_doubt):
     """Plurality keys a ballot by its top: 3^2 row keys x 3^2 column keys."""
-    calls = count_outcomes(monkeypatch)
-    mat = payoff_matrix(mutual_doubt, Plurality(mutual_doubt.tiebreak), False)
+    with built_games() as built:
+        mat = payoff_matrix(mutual_doubt, Plurality(mutual_doubt.tiebreak),
+                            False)
     assert (len(mat.row_labels), len(mat.col_labels)) == (36, 36)
-    assert len(calls) == 81
+    assert built[0].outcomes.stores == 81
 
 
-def test_keyless_grid_computes_every_cell(mutual_doubt, monkeypatch):
-    calls = count_outcomes(monkeypatch)
-    payoff_matrix(mutual_doubt, Veto(mutual_doubt.tiebreak), False)
-    assert len(calls) == 36 * 36
+def test_keyless_grid_computes_every_cell(mutual_doubt):
+    with built_games() as built:
+        payoff_matrix(mutual_doubt, Veto(mutual_doubt.tiebreak), False)
+    assert built[0].outcomes.stores == 36 * 36

@@ -63,6 +63,9 @@ def test_write_is_canonical_fixed_point(hidden_flip):
     ("state t = 1: a>b>c", "lacks voter"),
     ("state t = 1: a>b ; 2: a>b>c", "order"),
     ("indist 3: {t}", "no voter 3"),
+    # an indist line could not list these names
+    ("state a}b = 1: a>b>c ; 2: c>b>a", "brace"),
+    ("state {u = 1: a>b>c ; 2: c>b>a", "brace"),
     ("point: zz", "not a declared state"),
     ("bogus: 1", "bogus"),
 ])
