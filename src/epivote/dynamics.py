@@ -25,10 +25,11 @@ from .model import (
     Voter,
     check_size,
     make_model,
+    ranks_every_candidate,
     restrict,
 )
 from .rules import Plurality, VotingRule
-from .strategic import _considered, _dominant_alts, knows_manipulation
+from .strategic import _considered, _dominant_alts, _knows
 
 
 @dataclass(frozen=True)
@@ -157,10 +158,16 @@ def _holds(
     if m.point is None:
         raise UnknownState("property needs a pointed model")
     kp = m.pointed()
-    if property != "dominant_manipulation":
-        return knows_manipulation(kp, F, voter, mode=property.removeprefix("knowledge_"))
     considered = _considered(kp, voter)
-    alts = _dominant_alts(kp.election, F, voter, kp.truth().pref(voter), considered)
+    return _pointed(m.election, F, property, voter, kp.truth().pref(voter), considered)
+
+
+def _pointed(e, F, property, voter, truth, considered) -> tuple[bool, object]:
+    """A pointed property and its witness for voter, whose ballot at the
+    point is truth, over the profiles she considers possible there."""
+    if property != "dominant_manipulation":
+        return _knows(e, F, voter, considered, property.removeprefix("knowledge_"))
+    alts = _dominant_alts(e, F, voter, truth, considered)
     return (bool(alts), alts)
 
 
@@ -176,36 +183,38 @@ def _holds_after(
 
 # ------------------------------------------------------- seeded random hunts
 
-def random_model(
-    rng: random.Random,
-    e: Election | None = None,
-    max_states: int = 4,
-    tiebreak: Preference | None = None,
-) -> ProfileModel:
+def random_model(rng: random.Random, e: Election | None = None, max_states: int = 4,
+                 tiebreak: Preference | None = None) -> ProfileModel:
     """A random pointed model over e (default: 3 candidates, 2 voters).
 
     Partitions are built by randomly splitting, per voter, the groups of
     states that share that voter's preference, so the result always
     satisfies the own-preference constraint. The tiebreak order is drawn at
-    random unless one is supplied. Raises ValueError when max_states < 2,
-    and SizeLimit, before any draw, when max_states exceeds the size cap.
+    random unless one is supplied. Raises ValueError when max_states < 2 or
+    a supplied tiebreak does not rank e's candidates, and SizeLimit when
+    max_states exceeds the size cap, each before any draw.
     """
+    return _model(*_draw(rng, e, max_states, tiebreak))
+
+
+def _draw(rng: random.Random, e, max_states: int, tiebreak):
+    """random_model's draw: (e, states, profiles, blocks, tiebreak, point).
+    blocks[i - 1] lists voter i's blocks as sorted lists of state positions,
+    in the order make_model gives them; point is a position."""
     if max_states < 2:
         raise ValueError(f"max_states must be at least 2, got {max_states}")
     check_size(max_states, "states")
     if e is None:
         e = Election(("a", "b", "c"), 2)
+    if tiebreak is not None and not ranks_every_candidate(tiebreak.order, e.candidates):
+        raise ValueError(f"tiebreak {tiebreak.as_text()} does not rank every "
+                         f"candidate of {' '.join(e.candidates)} once")
     orders = e.orders()
     count = rng.randint(2, max_states)
-    states = tuple(f"s{j}" for j in range(count))
-    profiles = [
-        Profile(tuple(rng.choice(orders) for _ in range(e.num_voters)))
-        for _ in states
-    ]
-    partitions = {}
+    profiles = [Profile(tuple(rng.choice(orders) for _ in range(e.num_voters)))
+                for _ in range(count)]
+    partition = []
     for i in e.voters:
-        # state positions, so each block and the block list come out sorted
-        # as make_model orders them
         groups: dict[Preference, list[int]] = {}
         for k, p in enumerate(profiles):
             groups.setdefault(p.prefs[i - 1], []).append(k)
@@ -217,40 +226,41 @@ def random_model(
                 blocks.append(sorted(members[:take]))
                 members = members[take:]
         blocks.sort()
-        partitions[i] = [[states[k] for k in block] for block in blocks]
-    return make_model(
-        e,
-        states,
-        profiles,
-        partitions,
-        tiebreak=tiebreak if tiebreak is not None else rng.choice(orders),
-        point=rng.choice(states),
-    )
+        partition.append(blocks)
+    if tiebreak is None:
+        tiebreak = rng.choice(orders)
+    states = tuple(f"s{j}" for j in range(count))
+    return e, states, profiles, partition, tiebreak, rng.randrange(count)
 
 
-def random_announcement(
-    rng: random.Random, m: ProfileModel, keep_point: bool = True
-) -> Formula:
+def _model(e, states, profiles, partition, tiebreak, point) -> ProfileModel:
+    """The pointed model of a _draw."""
+    partitions = {i: [[states[k] for k in block] for block in blocks]
+                  for i, blocks in zip(e.voters, partition)}
+    return make_model(e, states, profiles, partitions, tiebreak, states[point])
+
+
+def random_announcement(rng: random.Random, m: ProfileModel,
+                        keep_point: bool = True) -> Formula:
     """A random profile-atom disjunction true at a nonempty set of states.
 
     With keep_point (and a pointed model) the point is always in the chosen
     set, making the announcement truthful there. The denotation can exceed
     the chosen set when other states carry the same profiles.
     """
-    return big_or(map(ProfileAtom, _announced_profiles(rng, m, keep_point)))
+    point = m.index(m.point) if keep_point and m.point is not None else None
+    return big_or(map(ProfileAtom, _announced_profiles(rng, m.profiles, point)))
 
 
-def _announced_profiles(
-    rng: random.Random, m: ProfileModel, keep_point: bool
-) -> dict[Profile, None]:
-    """random_announcement's profiles, in disjunct order, as dict keys."""
-    pool = list(m.states)
-    chosen = [s for s in pool if rng.random() < 0.5]
-    if keep_point and m.point is not None and m.point not in chosen:
-        chosen.append(m.point)
+def _announced_profiles(rng: random.Random, profiles, point) -> dict[Profile, None]:
+    """random_announcement's profiles, in disjunct order, as dict keys; point
+    is the position of a state always chosen, or None."""
+    chosen = [k for k in range(len(profiles)) if rng.random() < 0.5]
+    if point is not None and point not in chosen:
+        chosen.append(point)
     if not chosen:
-        chosen = [rng.choice(pool)]
-    return dict.fromkeys(m.profile_at(s) for s in chosen)
+        chosen = [rng.randrange(len(profiles))]
+    return dict.fromkeys(profiles[k] for k in chosen)
 
 
 def random_conditional_profile(
@@ -296,10 +306,11 @@ def search_counterexample(
     given the seed; with F supplied its tiebreak is used for every model,
     otherwise each model draws its own. The conditional-profile properties
     check every drawn profile on one game per model, and one per updated
-    model. Each announcement's kept states are read off its drawn profiles;
-    its formula is built only for the witness returned. Raises ValueError
-    when budget < 1 or max_states < 2, and SizeLimit when max_states
-    exceeds the size cap.
+    model. The pointed properties are judged on the draw itself; the kept
+    states are read off the announcement's drawn profiles, and the model and
+    formula are built only for the witness returned. Raises ValueError when
+    budget < 1, max_states < 2 or F's tiebreak does not rank e's candidates,
+    and SizeLimit when max_states exceeds the size cap.
     """
     if property not in PROPERTIES:
         raise ValueError(f"unknown property {property!r}; choose from {PROPERTIES}")
@@ -311,35 +322,39 @@ def search_counterexample(
     rng = random.Random(seed)
     pointed = property in _POINTED_PROPERTIES
     for attempt in range(1, budget + 1):
-        m = random_model(rng, e, max_states, tiebreak=fixed_tiebreak)
-        rule = F if F is not None else Plurality(m.tiebreak)
-        drawn = _announced_profiles(rng, m, keep_point=pointed)
-        # the states random_announcement's formula would keep
-        kept = tuple(s for s in m.states if m.profile_at(s) in drawn)
-        if len(kept) == len(m.states):
+        draw = _draw(rng, e, max_states, fixed_tiebreak)
+        _, states, profiles, partition, tiebreak, point = draw
+        rule = F if F is not None else Plurality(tiebreak)
+        drawn = _announced_profiles(rng, profiles, point if pointed else None)
+        keep = [p in drawn for p in profiles]  # the states the formula keeps
+        if all(keep):
             continue  # identity update, nothing can break
-        game = upd = after = None
         if pointed:
-            cases = [(rng.choice(list(e.voters)), None)]
+            voter = rng.choice(list(e.voters))
+            block = next(b for b in partition[voter - 1] if point in b)
+            held = (_pointed(e, rule, property, voter, profiles[point].prefs[voter - 1],
+                             list(dict.fromkeys(profiles[k] for k in cut)))[0]
+                    for cut in (block, [k for k in block if keep[k]]))  # before, after
+            if not next(held) or next(held):
+                continue
+            m = _model(*draw)
+            who = f"voter {voter} at point {m.point}"
         else:
-            cases = [(None, random_conditional_profile(rng, m)) for _ in range(12)]
-            game = _Game(m, rule)
-        for voter, cp in cases:
-            if not _holds(m, rule, property, voter, cp, game)[0]:
-                continue
-            if upd is None:  # built the first time the property holds before
-                upd = _updated(m, kept)
-                after = None if pointed else _Game(upd.model, rule)
-            if _holds_after(m, upd, rule, property, voter, cp, after)[0]:
-                continue
-            if pointed:
-                who = f"voter {voter} at point {m.point}"
+            m = _model(*draw)
+            game, upd = _Game(m, rule), None
+            for cp in [random_conditional_profile(rng, m) for _ in range(12)]:
+                if not _holds(m, rule, property, None, cp, game)[0]:
+                    continue
+                if upd is None:  # built the first time the property holds before
+                    upd = _updated(m, tuple(s for s, k in zip(states, keep) if k))
+                    after = _Game(upd.model, rule)
+                if not _holds_after(m, upd, rule, property, None, cp, after)[0]:
+                    break
             else:
-                label = " / ".join(strategy_label(row, by_top=False) for row in cp)
-                who = f"conditional profile ({label})"
-            phi = big_or(map(ProfileAtom, drawn))
-            return HuntResult(
-                property, True, attempt, seed, m, phi,
-                f"{who}: holds before announcing {to_text(phi)}, fails after",
-            )
+                continue
+            label = " / ".join(strategy_label(row, by_top=False) for row in cp)
+            who = f"conditional profile ({label})"
+        phi = big_or(map(ProfileAtom, drawn))
+        return HuntResult(property, True, attempt, seed, m, phi,
+                          f"{who}: holds before announcing {to_text(phi)}, fails after")
     return HuntResult(property, False, budget, seed, None, None, "budget exhausted")

@@ -221,12 +221,24 @@ def test_hunting_knowledge_exhausts_its_budget():
 
 @pytest.mark.parametrize("prop", PROPERTIES)
 def test_hunts_update_once_per_attempt(monkeypatch, prop):
-    """No denotation: the kept states are read off the drawn profiles. One
-    restricted model per attempt at which the property held before the
-    announcement."""
-    before = search_counterexample(prop, F=F, seed=4, budget=50)
-    _, _, held = old_search_counterexample(prop, F=F, seed=4, budget=50)
-    calls = {"denotation": 0, "restrict": 0}
+    """No denotation: the kept states are read off the drawn profiles.
+
+    The pointed properties are judged on the draw itself: no restricted
+    model, and one model built for a witness, none when the budget runs out.
+    The profile properties build one model per attempt that reaches the
+    property check and one restricted model per attempt at which the
+    property held before the announcement."""
+    pointed = prop in dynamics._POINTED_PROPERTIES
+    # dominant_manipulation finds a witness at seed 0; the knowledge
+    # properties never do
+    found = prop == "dominant_manipulation"
+    args = dict(F=F, seed=0, budget=2000) if found else dict(F=F, seed=4, budget=50)
+    before = search_counterexample(prop, **args)
+    expected = {"denotation": 0, "restrict": 0, "make_model": int(found)}
+    if not pointed:
+        _, checked, held = old_search_counterexample(prop, **args)
+        expected.update(restrict=held, make_model=checked)
+    calls = dict.fromkeys(expected, 0)
     for name in calls:
         real = getattr(dynamics, name)
 
@@ -235,8 +247,8 @@ def test_hunts_update_once_per_attempt(monkeypatch, prop):
             return real(*args, **kwargs)
 
         monkeypatch.setattr(dynamics, name, counted)
-    hit = search_counterexample(prop, F=F, seed=4, budget=50)
-    assert calls == {"denotation": 0, "restrict": held}
+    hit = search_counterexample(prop, **args)
+    assert calls == expected
     assert (hit.found, hit.tries, hit.detail) == (
         before.found, before.tries, before.detail)
 
@@ -299,6 +311,43 @@ def test_hunt_state_cap_is_checked_before_any_draw():
         search_counterexample("knowledge_de_re", budget=3, max_states=10**9)
     with pytest.raises(ValueError, match="at least 2"):
         random_model(rng, max_states=1)
+
+
+@pytest.mark.parametrize("order", ["x>y>z", "b>a>c>d", "a>b"])
+def test_supplied_tiebreak_must_rank_the_candidates(order):
+    """A tiebreak that does not rank the election's candidates is refused,
+    with the generator untouched, by random_model and by a hunt under a
+    rule that carries it, instead of failing mid-hunt or returning a model
+    validate_model rejects."""
+    rng = random.Random(3)
+    state = rng.getstate()
+    named = f"^tiebreak {order} does not rank every candidate of a b c once$"
+    with pytest.raises(ValueError, match=named):
+        random_model(rng, tiebreak=pref(order))
+    assert rng.getstate() == state
+    for prop in PROPERTIES:
+        with pytest.raises(ValueError, match=named):
+            search_counterexample(prop, F=Plurality(pref(order)), seed=3, budget=5)
+
+
+def test_a_rule_without_a_tiebreak_draws_one_per_model():
+    """A rule with no tiebreak attribute is not checked: each model draws
+    its own tiebreak, and the fragile properties still break."""
+
+    class Alphabetical:
+        """Plurality, ties to the first candidate in the election."""
+
+        name = "alphabetical plurality"
+
+        def winner(self, e, votes):
+            tops = votes.tops()
+            return max(e.candidates, key=tops.count)
+
+    for prop in PROPERTIES:
+        hit = search_counterexample(prop, F=Alphabetical(), seed=0, budget=2000)
+        assert hit.found == (prop in ("dominant_manipulation",
+                                      "conditional_equilibrium",
+                                      "not_conditional_equilibrium"))
 
 
 def test_unknown_property_rejected(hidden_flip):

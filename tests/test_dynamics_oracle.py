@@ -26,6 +26,7 @@ from epivote import (
     Profile,
     ProfileAtom,
     big_or,
+    check_preservation,
     is_conditional_equilibrium,
     make_model,
     pref,
@@ -33,6 +34,7 @@ from epivote import (
     to_text,
     update,
     update_conditional_profile,
+    validate_model,
     write_model,
 )
 from epivote.dynamics import (
@@ -228,3 +230,34 @@ def test_hunts_match_the_announce_every_time_oracle():
             found += hit.found
     # the comparison covers witnesses as well as exhausted budgets
     assert 0 < found < 180
+
+
+def rejudged(hit, F):
+    """check_preservation on a pointed hunt's witness model, for the voter
+    its detail names, after validate_model accepts the model."""
+    validate_model(hit.model)
+    voter = int(hit.detail.removeprefix("voter ").split()[0])
+    rule = F if F is not None else Plurality(hit.model.tiebreak)
+    return check_preservation(hit.model, rule, hit.announcement, hit.property, voter)
+
+
+def test_pointed_witnesses_hold_on_their_models():
+    """A pointed hunt judges its draw and builds a model only for the
+    witness; every witness is judged again on that model. The oracle's
+    hunts and a seeded dominant-manipulation sweep, three elections, rule
+    drawn per model or fixed."""
+    hunts = [(prop, dict(seed=seed, budget=40, max_states=2 + seed % 4))
+             for prop in POINTED for seed in range(6)]
+    hunts += [("dominant_manipulation", dict(seed=seed, budget=150,
+                                              max_states=2 + seed % 5))
+              for seed in range(6, 46)]
+    found = 0
+    for e, fixed in itertools.product(ELECTIONS, (False, True)):
+        F = Plurality(pref(">".join(e.candidates))) if fixed else None
+        for prop, args in hunts:
+            hit = search_counterexample(prop, e=e, F=F, **args)
+            if hit.found:
+                rep = rejudged(hit, F)
+                assert rep.held_before and not rep.held_after, (prop, e, F, args)
+                found += 1
+    assert found >= 30
