@@ -23,13 +23,13 @@ from .model import (
     Profile,
     ProfileModel,
     Voter,
+    check_ranking,
     check_size,
     make_model,
-    ranks_every_candidate,
     restrict,
 )
 from .rules import Plurality, VotingRule
-from .strategic import _considered, _dominant_alts, _knows
+from .strategic import _considered, _dominant_alts, _knows, _winners
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,8 @@ def _pointed(e, F, property, voter, truth, considered) -> tuple[bool, object]:
     """A pointed property and its witness for voter, whose ballot at the
     point is truth, over the profiles she considers possible there."""
     if property != "dominant_manipulation":
-        return _knows(e, F, voter, considered, property.removeprefix("knowledge_"))
+        return _knows(e, F, voter, considered, _winners(e, F, considered),
+                      property.removeprefix("knowledge_"))
     alts = _dominant_alts(e, F, voter, truth, considered)
     return (bool(alts), alts)
 
@@ -206,9 +207,8 @@ def _draw(rng: random.Random, e, max_states: int, tiebreak):
     check_size(max_states, "states")
     if e is None:
         e = Election(("a", "b", "c"), 2)
-    if tiebreak is not None and not ranks_every_candidate(tiebreak.order, e.candidates):
-        raise ValueError(f"tiebreak {tiebreak.as_text()} does not rank every "
-                         f"candidate of {' '.join(e.candidates)} once")
+    if tiebreak is not None:
+        check_ranking(tiebreak, e.candidates, "tiebreak")
     orders = e.orders()
     count = rng.randint(2, max_states)
     profiles = [Profile(tuple(rng.choice(orders) for _ in range(e.num_voters)))

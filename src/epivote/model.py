@@ -123,11 +123,12 @@ class Preference:
         return self.order.index(a) < self.order.index(b)
 
     def worst_of(self, cs) -> Candidate:
-        """The least preferred element of a nonempty candidate collection."""
+        """The least preferred element of a nonempty candidate collection;
+        ValueError for a candidate this order does not rank."""
         items = list(cs)
         if not items:
             raise EmptySet("worst_of needs at least one candidate")
-        return min(items, key=self.rank_value)
+        return max(items, key=self.order.index)
 
     def as_text(self) -> str:
         return ">".join(self.order)
@@ -155,20 +156,15 @@ class Profile:
 
     def replace(self, voter: Voter, p: Preference) -> "Profile":
         """The profile with voter's ballot swapped for p."""
-        if voter < 1:
+        if not 1 <= voter <= len(self.prefs):
             raise self._unknown(voter)
-        items = list(self.prefs)
-        try:
-            items[voter - 1] = p
-        except IndexError:
-            raise self._unknown(voter) from None
-        return Profile(tuple(items))
+        return Profile(self.prefs[:voter - 1] + (p,) + self.prefs[voter:])
 
     def _unknown(self, voter) -> UnknownVoter:
         return UnknownVoter(f"no voter {voter} in 1..{len(self.prefs)}")
 
     def tops(self) -> tuple[Candidate, ...]:
-        return tuple(p.top for p in self.prefs)
+        return tuple([p.order[0] for p in self.prefs])
 
     def as_text(self) -> str:
         return " ; ".join(
@@ -323,8 +319,11 @@ def make_model(
 
     ``profiles`` maps state -> Profile (dict) or is a sequence aligned with
     ``states``. ``partitions`` maps voter -> iterable of state-iterables;
-    omitted voters (or a None value) get all-singleton partitions.
+    omitted voters (or a None value) get all-singleton partitions. A
+    tiebreak that does not rank every candidate once raises ValueError.
     """
+    if tiebreak is not None:
+        check_ranking(tiebreak, election.candidates, "tiebreak")
     states = tuple(states)
     if isinstance(profiles, dict):
         missing = [s for s in states if s not in profiles]
@@ -400,6 +399,15 @@ def ranks_every_candidate(order, candidates) -> bool:
     return len(order) == len(candidates) and set(order).issuperset(candidates)
 
 
+def check_ranking(ballot: Preference, candidates, what: str) -> None:
+    """Raise ValueError, naming the argument what, unless the ballot (or
+    tiebreak) ranks every candidate exactly once. Library entry points call
+    it once per call, so the work behind them may assume checked ballots."""
+    if not ranks_every_candidate(ballot.order, candidates):
+        raise ValueError(f"{what} {ballot.as_text()} does not rank every "
+                         f"candidate of {' '.join(candidates)} once")
+
+
 def validate_structure(m: ProfileModel) -> None:
     """Everything validate_model checks except the own-preference condition.
 
@@ -413,6 +421,7 @@ def validate_structure(m: ProfileModel) -> None:
     if len(m.profiles) != len(m.states):
         raise DanglingState("valuation does not cover every state")
     candidates = m.election.candidates
+    ranked: set[Preference] = set()  # ballots already found complete
     for s, p in zip(m.states, m.profiles):
         if len(p.prefs) != m.election.num_voters:
             raise DanglingState(
@@ -420,11 +429,14 @@ def validate_structure(m: ProfileModel) -> None:
                 f"expected {m.election.num_voters}"
             )
         for i, r in enumerate(p.prefs, start=1):
+            if r in ranked:
+                continue
             if not ranks_every_candidate(r.order, candidates):
                 raise DanglingState(
                     f"state {s!r}, voter {i}: order {r.as_text()} does not "
                     f"rank every candidate exactly once"
                 )
+            ranked.add(r)
     if len(m.partitions) != m.election.num_voters:
         raise PartitionError("need one partition per voter")
     for voter in m.election.voters:
@@ -485,8 +497,11 @@ def hypercube(
 
     Each voter knows exactly her own preference, so her blocks group the
     (m!)^n states by her component. Raises SizeLimit when the state count
-    would exceed the cap (see check_size).
+    would exceed the cap (see check_size), and ValueError, before building
+    anything, for a tiebreak that does not rank every candidate once.
     """
+    if tiebreak is not None:
+        check_ranking(tiebreak, election.candidates, "tiebreak")
     profiles = election.all_profiles()
     states = tuple(_hypercube_label(p) for p in profiles)
     partitions: dict[Voter, list[list[str]]] = {}

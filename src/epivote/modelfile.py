@@ -47,6 +47,7 @@ def parse_model(text: str, validate: bool = True) -> ProfileModel:
     indist: dict[int, list[tuple[str, ...]]] = {}
     indist_lines: dict[int, int] = {}
     point_line = 1
+    ballots: dict[str, Preference] = {}  # each ballot text parsed and checked once
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -87,7 +88,7 @@ def parse_model(text: str, validate: bool = True) -> ProfileModel:
                 raise ModelSyntaxError(lineno, f"duplicate state {name!r}")
             states.append(name)
             profiles[name] = _parse_profile(
-                lineno, profiles_part, candidates, num_voters
+                lineno, profiles_part, candidates, num_voters, ballots
             )
         elif keyword == "indist":
             _need_header(lineno, candidates, num_voters)
@@ -160,7 +161,10 @@ def _split_state_line(lineno: int, line: str) -> tuple[str, str]:
     return parts[1], rest
 
 
-def _parse_profile(lineno, text, candidates, num_voters) -> Profile:
+def _parse_profile(lineno, text, candidates, num_voters, ballots) -> Profile:
+    """One state's profile. ballots maps each ballot text already parsed in
+    this file to its Preference; only texts that pass the check enter it,
+    so a bad one is reported at its first line."""
     prefs: dict[int, Preference] = {}
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -177,9 +181,12 @@ def _parse_profile(lineno, text, candidates, num_voters) -> Profile:
             raise ModelSyntaxError(lineno, f"no voter {voter}")
         if voter in prefs:
             raise ModelSyntaxError(lineno, f"voter {voter} listed twice")
-        order = tuple(c.strip() for c in order_part.split(">"))
-        _check_order(lineno, order, candidates, f"voter {voter}'s order")
-        prefs[voter] = Preference(order)
+        ballot = ballots.get(order_part)
+        if ballot is None:
+            order = tuple(c.strip() for c in order_part.split(">"))
+            _check_order(lineno, order, candidates, f"voter {voter}'s order")
+            ballot = ballots[order_part] = Preference(order)
+        prefs[voter] = ballot
     missing = [v for v in range(1, num_voters + 1) if v not in prefs]
     if missing:
         raise ModelSyntaxError(lineno, f"state lacks voter(s) {missing}")

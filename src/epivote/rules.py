@@ -23,6 +23,7 @@ from .model import (
     Preference,
     Profile,
     Voter,
+    check_ranking,
     check_size,
 )
 
@@ -47,8 +48,14 @@ class VotingRule(Protocol):
 def plurality_winner(
     e: Election, votes: Profile, tiebreak: Preference
 ) -> Candidate:
-    """Most top-choice votes; ties go to the tiebreak-highest candidate."""
-    return _plurality_from_tops(e.candidates, votes.tops(), tiebreak.order)
+    """Most top-choice votes; ties go to the tiebreak-highest candidate.
+
+    The hot path, unguarded: it takes checked ballots and tiebreak, each
+    ranking e's candidates once (see model.check_ranking), and one call
+    into the cached core reads the tops.
+    """
+    return _plurality_from_tops(
+        e.candidates, tuple([b.order[0] for b in votes.prefs]), tiebreak.order)
 
 
 @lru_cache(maxsize=200_000)
@@ -74,7 +81,11 @@ class Plurality:
     name = "plurality"
 
     def winner(self, e: Election, votes: Profile) -> Candidate:
-        return plurality_winner(e, votes, self.tiebreak)
+        """plurality_winner under this tiebreak, in one call to the cached
+        core; like it, it takes checked ballots."""
+        return _plurality_from_tops(
+            e.candidates, tuple([b.order[0] for b in votes.prefs]),
+            self.tiebreak.order)
 
     def ballot_key(self, ballot: Preference) -> Candidate:
         """Plurality reads only the top of each ballot."""
@@ -95,14 +106,28 @@ def rule_for(m_or_tiebreak) -> Plurality:
 def is_manipulation(
     F: VotingRule, e: Election, p: Profile, i: Voter, alt: Preference
 ) -> bool:
-    """Does voting alt instead of her true p-preference strictly help i?"""
+    """Does voting alt instead of her true p-preference strictly help i?
+
+    ValueError when alt or a ballot of p does not rank e's candidates once.
+    """
+    _check_profile(e, p)
+    check_ranking(alt, e.candidates, "alt")
     truth = p.pref(i)
     return truth.prefers(F.winner(e, p.replace(i, alt)), F.winner(e, p))
 
 
 def manipulations(F: VotingRule, e: Election, p: Profile, i: Voter) -> list[Preference]:
-    """All ballots that strictly improve on sincere voting for i at p."""
-    return [alt for alt in e.orders() if is_manipulation(F, e, p, i, alt)]
+    """All ballots that strictly improve on sincere voting for i at p, the
+    sincere winner computed once. ValueError as for is_manipulation."""
+    _check_profile(e, p)
+    truth, sincere = p.pref(i), F.winner(e, p)
+    return [alt for alt in e.orders()
+            if truth.prefers(F.winner(e, p.replace(i, alt)), sincere)]
+
+
+def _check_profile(e: Election, p: Profile) -> None:
+    for voter, ballot in enumerate(p.prefs, start=1):
+        check_ranking(ballot, e.candidates, f"voter {voter}'s ballot")
 
 
 def dominant_preference(
@@ -117,10 +142,13 @@ def dominant_preference(
     Against every combination of ballots by everyone, alt's outcome is at
     least as good for i as the outcome of any ballot she could cast instead,
     and against some combination of the others' ballots it is strictly
-    better than voting truth.
+    better than voting truth. ValueError when truth or alt does not rank
+    e's candidates once.
     """
     if i not in e.voters:
         raise UnknownVoter(f"no voter {i} in 1..{e.num_voters}")
+    check_ranking(truth, e.candidates, "truth")
+    check_ranking(alt, e.candidates, "alt")
     check_size(ballot_count(e, False) ** e.num_voters, "profiles")
     orders = e.orders()
     strict_somewhere = False

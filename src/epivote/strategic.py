@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import KnowledgeProfile, Preference, Profile, Voter
-from .rules import VotingRule, _key_of, ballot_classes, manipulations
+from .model import KnowledgeProfile, Preference, Profile, Voter, check_ranking
+from .rules import VotingRule, _key_of, ballot_classes
 
 
 def knows_manipulation(
@@ -30,7 +30,8 @@ def knows_manipulation(
     """
     if mode not in ("de_dicto", "de_re"):
         raise ValueError(f"mode must be de_dicto or de_re, not {mode!r}")
-    return _knows(kp.election, F, i, _considered(kp, i), mode)
+    e, considered = kp.election, _considered(kp, i)
+    return _knows(e, F, i, considered, _winners(e, F, considered), mode)
 
 
 def dominant_manipulation_of_infoset(
@@ -40,11 +41,14 @@ def dominant_manipulation_of_infoset(
 
     For every considered profile, casting alt does at least as well for i as
     everyone (including i) voting sincerely there, and for at least one
-    considered profile it does strictly better.
+    considered profile it does strictly better. ValueError when alt does not
+    rank the candidates once.
     """
+    e = kp.election
+    check_ranking(alt, e.candidates, "alt")
     considered = _considered(kp, i)
-    truth = kp.truth().pref(i)
-    return _dominant(kp.election, F, i, truth, considered, alt)
+    return _dominant(e, F, i, kp.truth().pref(i), considered,
+                     _winners(e, F, considered), alt)
 
 
 def pessimistic_manipulation(
@@ -53,11 +57,15 @@ def pessimistic_manipulation(
     """Maximin improvement: alt's worst considered outcome beats sincerity's.
 
     Worst is taken with i's true preference over the outcomes of the
-    considered profiles, others sincere in each.
+    considered profiles, others sincere in each. ValueError when alt does
+    not rank the candidates once.
     """
+    e = kp.election
+    check_ranking(alt, e.candidates, "alt")
     considered = _considered(kp, i)
     truth = kp.truth().pref(i)
-    return _pessimistic(kp.election, F, i, truth, considered, alt)
+    worst = truth.worst_of(_winners(e, F, considered))
+    return _pessimistic(e, F, i, truth, considered, worst, alt)
 
 
 def _considered(kp: KnowledgeProfile, i: Voter) -> list[Profile]:
@@ -65,55 +73,57 @@ def _considered(kp: KnowledgeProfile, i: Voter) -> list[Profile]:
     return kp.model.profiles_of(kp.information_set(i))
 
 
-# The helpers below take the considered profiles, so classify reads them once.
+def _winners(e, F: VotingRule, profiles):
+    """Each profile's sincere winner, lazily and in order."""
+    return (F.winner(e, p) for p in profiles)
 
-def _knows(e, F: VotingRule, i: Voter, considered: list[Profile], mode: str):
+
+# The helpers below take the considered profiles, so classify reads them once,
+# and their sincere winners in the same order, so each is computed once a call.
+
+def _knows(e, F: VotingRule, i: Voter, considered: list[Profile], sincere,
+           mode: str):
     """knows_manipulation on the considered profiles.
 
-    Ballots with equal keys under F win alike (see ballot_classes), so each
-    profile's helping ballots are found from its sincere winner and one
-    deviated winner per class, then listed in e.orders() order.
+    sincere may be lazy: a winner is drawn only for a profile visited before
+    an early exit. Ballots with equal keys under F win alike (see
+    ballot_classes), so each profile's helping ballots are found from its
+    sincere winner and one deviated winner per class, then listed in
+    e.orders() order.
     """
     alts, key = e.orders(), _key_of(F)
     classes = ballot_classes(F, alts)
 
-    def helping(p: Profile) -> set:
-        truth, sincere = p.pref(i), F.winner(e, p)
+    def helping(p: Profile, won) -> set:
+        truth = p.pref(i)
         return {k for k, alt in classes
-                if truth.prefers(F.winner(e, p.replace(i, alt)), sincere)}
+                if truth.prefers(F.winner(e, p.replace(i, alt)), won)}
 
     if mode == "de_dicto":
         witnesses: dict[Profile, tuple[Preference, ...]] = {}
-        for p in considered:
-            working = helping(p)
+        for p, won in zip(considered, sincere):
+            working = helping(p, won)
             if not working:
                 return False, {}
             witnesses[p] = tuple(alt for alt in alts if key(alt) in working)
         return True, witnesses
     common = {k for k, _ in classes}
-    for p in considered:
-        common &= helping(p)
+    for p, won in zip(considered, sincere):
+        common &= helping(p, won)
         if not common:
             break
     uniform = tuple(alt for alt in alts if key(alt) in common)
     return bool(uniform), uniform
 
 
-def _dominant(
-    e,
-    F: VotingRule,
-    i: Voter,
-    truth: Preference,
-    considered: list[Profile],
-    alt: Preference,
-) -> bool:
+def _dominant(e, F: VotingRule, i: Voter, truth: Preference,
+              considered: list[Profile], sincere, alt: Preference) -> bool:
     strict = False
-    for p in considered:
+    for p, won in zip(considered, sincere):
         deviated = F.winner(e, p.replace(i, alt))
-        sincere = F.winner(e, p)
-        if truth.prefers(sincere, deviated):
+        if truth.prefers(won, deviated):
             return False
-        if truth.prefers(deviated, sincere):
+        if truth.prefers(deviated, won):
             strict = True
     return strict
 
@@ -122,24 +132,16 @@ def _dominant_alts(
     e, F: VotingRule, i: Voter, truth: Preference, considered: list[Profile]
 ) -> tuple[Preference, ...]:
     """The ballots dominant_manipulation_of_infoset accepts, in e.orders() order."""
-    return tuple(
-        alt for alt in e.orders() if _dominant(e, F, i, truth, considered, alt)
-    )
+    sincere = list(_winners(e, F, considered))
+    return tuple(alt for alt in e.orders()
+                 if _dominant(e, F, i, truth, considered, sincere, alt))
 
 
-def _pessimistic(
-    e,
-    F: VotingRule,
-    i: Voter,
-    truth: Preference,
-    considered: list[Profile],
-    alt: Preference,
-) -> bool:
-    sincere_worst = truth.worst_of(F.winner(e, p) for p in considered)
-    deviated_worst = truth.worst_of(
-        F.winner(e, p.replace(i, alt)) for p in considered
-    )
-    return truth.prefers(deviated_worst, sincere_worst)
+def _pessimistic(e, F: VotingRule, i: Voter, truth: Preference,
+                 considered: list[Profile], worst, alt: Preference) -> bool:
+    """Does alt's worst considered winner beat worst, the worst sincere one?"""
+    deviated = truth.worst_of(F.winner(e, p.replace(i, alt)) for p in considered)
+    return truth.prefers(deviated, worst)
 
 
 # Strongest label first; classify() reports the first one that applies.
@@ -171,17 +173,24 @@ class ManipulationReport:
 
 def classify(kp: KnowledgeProfile, F: VotingRule, i: Voter) -> ManipulationReport:
     """Run every manipulation notion for voter i and label the strongest."""
-    e = kp.election
+    e, orders = kp.election, kp.election.orders()
     considered = _considered(kp, i)
     actual = kp.truth()
     truth = actual.pref(i)
-    manipulation_alts = tuple(manipulations(F, e, actual, i))
-    dominant_alts = _dominant_alts(e, F, i, truth, considered)
+    sincere = list(_winners(e, F, considered))
+    won = sincere[considered.index(actual)]
+    manipulation_alts = tuple(
+        alt for alt in orders
+        if truth.prefers(F.winner(e, actual.replace(i, alt)), won))
+    dominant_alts = tuple(
+        alt for alt in orders
+        if _dominant(e, F, i, truth, considered, sincere, alt))
+    worst = truth.worst_of(sincere)
     pessimistic_alts = tuple(
-        alt for alt in e.orders() if _pessimistic(e, F, i, truth, considered, alt)
-    )
-    de_dicto, dicto_witnesses = _knows(e, F, i, considered, "de_dicto")
-    de_re, re_alts = _knows(e, F, i, considered, "de_re")
+        alt for alt in orders
+        if _pessimistic(e, F, i, truth, considered, worst, alt))
+    de_dicto, dicto_witnesses = _knows(e, F, i, considered, sincere, "de_dicto")
+    de_re, re_alts = _knows(e, F, i, considered, sincere, "de_re")
     flags = {
         "knows_de_re": de_re,
         "knows_de_dicto": de_dicto,

@@ -19,9 +19,11 @@ from epivote import (
     PartitionError,
     check_axioms,
     classify,
+    hypercube,
     load_model,
     parse,
     parse_model,
+    pref,
     rule_for,
     save_model,
     write_model,
@@ -151,6 +153,36 @@ def test_equilibria_output_matches_golden(capsys, name, mode, fmt):
                          *EQUILIBRIA_MODES[mode], "--format", fmt)
     assert (code, err) == (0, "")
     assert out == (GOLDEN / f"{name}.{mode}.{fmt}.txt").read_text()
+
+
+@pytest.fixture(scope="module")
+def cube42(tmp_path_factory):
+    """The file `hypercube --candidates a,b,c,d --voters 2 --tiebreak
+    'a>b>c>d' -o` writes."""
+    path = tmp_path_factory.mktemp("cube") / "cube42.model"
+    save_model(hypercube(Election(("a", "b", "c", "d"), 2),
+                         tiebreak=pref("a>b>c>d")), path)
+    return str(path)
+
+
+# (golden name, model, point): the five fixtures at their points, and two
+# points of the 4x2 cube where a voter has manipulations.
+MANIPULATIONS_CASES = [(name, name, None) for name in (
+    "hidden-flip", "known-aligned", "known-opposed", "mutual-doubt",
+    "nested-doubt")] + [(f"cube42-{s}", "cube42", s)
+                        for s in ("cabd_dabc", "cabd_dbca")]
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+@pytest.mark.parametrize("name,model,point", MANIPULATIONS_CASES)
+def test_manipulations_output_matches_golden(capsys, cube42, name, model,
+                                             point, fmt):
+    """Every voter's report, byte for byte."""
+    path = cube42 if model == "cube42" else fixture_path(model)
+    at = [] if point is None else ["--point", point]
+    code, out, err = run(capsys, "manipulations", path, *at, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{name}.manipulations.{fmt}.txt").read_text()
 
 
 # Tops 'a'+'bc' and 'ab'+'c' both concatenate to 'abc'.

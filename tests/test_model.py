@@ -7,7 +7,9 @@ import tracemalloc
 import pytest
 
 from conftest import fixture_path
+from epivote import model
 from epivote import (
+    DanglingState,
     Election,
     EmptySet,
     KnowledgeProfile,
@@ -363,3 +365,67 @@ def test_restrict_empty_is_an_error(nested_doubt):
 def test_preference_requires_strict_order():
     with pytest.raises(ValueError):
         Preference(("a", "a", "b"))
+
+
+def test_profile_replace_swaps_exactly_one_ballot():
+    orders = Election(("a", "b", "c"), 4).orders()
+    rng = random.Random(3)
+    for _ in range(200):
+        ballots = tuple(rng.choice(orders) for _ in range(rng.randint(1, 4)))
+        voter, alt = rng.randint(1, len(ballots)), rng.choice(orders)
+        old = list(ballots)
+        old[voter - 1] = alt
+        assert profile(*(b.as_text() for b in ballots)).replace(voter, alt).prefs \
+            == tuple(old)
+
+
+def test_worst_of_matches_the_rank_value_form():
+    """The least preferred item, as min(key=rank_value) finds it, on random
+    candidate lists with repeats; the same errors for empty and foreign."""
+    rng = random.Random(7)
+    names = ("a", "b", "c", "d", "e")
+    for _ in range(500):
+        ranked = rng.sample(names, rng.randint(1, 5))
+        p = Preference(tuple(ranked))
+        items = [rng.choice(ranked) for _ in range(rng.randint(1, 8))]
+        assert p.worst_of(items) == min(items, key=p.rank_value)
+        assert p.worst_of(iter(items)) == min(items, key=p.rank_value)
+        foreign = items + ["z"]
+        rng.shuffle(foreign)
+        with pytest.raises(ValueError) as got:
+            p.worst_of(foreign)
+        with pytest.raises(ValueError) as want:
+            min(foreign, key=p.rank_value)
+        assert str(got.value) == str(want.value)
+    with pytest.raises(EmptySet, match="^worst_of needs at least one candidate$"):
+        pref("a>b").worst_of(iter(()))
+
+
+@pytest.mark.parametrize("order", ["x>y>z", "a>b", "b>a>c>d", "c>a"])
+def test_tiebreak_that_does_not_rank_the_candidates_is_refused(order):
+    named = f"^tiebreak {order} does not rank every candidate of a b c once$"
+    with pytest.raises(ValueError, match=named):
+        hypercube(ABC, tiebreak=pref(order))
+    with pytest.raises(ValueError, match=named):
+        make_model(ABC, ["s"], [profile("a>b>c", "c>b>a")], tiebreak=pref(order))
+
+
+def test_validate_checks_each_distinct_ballot_once(monkeypatch):
+    """The 576-state cube has 24 distinct ballots (and a tiebreak); a ballot
+    that fails is still reported at its first state and voter."""
+    cube = hypercube(Election(("a", "b", "c", "d"), 2), tiebreak=pref("c>a>d>b"))
+    calls = []
+    real = model.ranks_every_candidate
+
+    def counted(order, candidates):
+        calls.append(order)
+        return real(order, candidates)
+
+    monkeypatch.setattr(model, "ranks_every_candidate", counted)
+    validate_model(cube)
+    assert len(calls) == 24 + 1
+    bad = make_model(ABC, ["s", "t", "u"],
+                     [profile("a>b>c", "a>b>c"), profile("a>b>c", "a>b"),
+                      profile("a>b", "c>b>a")])
+    with pytest.raises(DanglingState, match="^state 't', voter 2: order a>b does"):
+        validate_model(bad)

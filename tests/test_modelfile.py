@@ -5,8 +5,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epivote import modelfile
 from epivote import (
+    Election,
     ModelSyntaxError,
+    hypercube,
     parse_model,
     pref,
     random_model,
@@ -116,3 +119,34 @@ def test_round_trip_on_random_models(seed):
     m = random_model(random.Random(seed), tiebreak=pref("b>a>c"))
     validate_model(m)
     assert parse_model(write_model(m)) == m
+
+
+def test_each_ballot_text_is_checked_once(monkeypatch):
+    """The 576-state cube file names 24 ballot texts (and a tiebreak); the
+    parsed states share one Preference per text."""
+    text = write_model(hypercube(Election(("a", "b", "c", "d"), 2),
+                                 tiebreak=pref("c>a>d>b")))
+    calls = []
+    real = modelfile._check_order
+
+    def counted(lineno, order, candidates, what):
+        calls.append(order)
+        return real(lineno, order, candidates, what)
+
+    monkeypatch.setattr(modelfile, "_check_order", counted)
+    m = parse_model(text)
+    assert len(calls) == 24 + 1
+    assert len({id(b) for p in m.profiles for b in p.prefs}) == 24
+
+
+def test_a_bad_ballot_text_is_reported_at_each_first_line():
+    head = "candidates: a b c\nvoters: 2\n"
+    text = (head + "state s = 1: a>b>c ; 2: a>b>c\n"
+            "state t = 1: c>b>a ; 2: a>b\nstate u = 1: a>b ; 2: a>b>c\n")
+    with pytest.raises(ModelSyntaxError,
+                       match="^line 4: voter 2's order must rank every "):
+        parse_model(text)
+    text = head + "state s = 1: a>b>c ; 2: a>b>c\nstate t = 1: b>b>a ; 2: c>b>a\n"
+    with pytest.raises(ModelSyntaxError,
+                       match="^line 4: voter 1's order must rank every "):
+        parse_model(text)

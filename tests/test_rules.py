@@ -132,7 +132,7 @@ def test_voter_outside_the_profile_is_unknown(voter):
                                              pref("b>a>c")),
                  lambda: p.pref(voter),
                  lambda: p.replace(voter, pref("b>a>c"))):
-        with pytest.raises(UnknownVoter, match=f"no voter {voter} in 1..2"):
+        with pytest.raises(UnknownVoter, match=f"^no voter {voter} in 1..2$"):
             call()
 
 
@@ -141,3 +141,21 @@ def test_plurality_classes_are_the_by_top_ballots():
         classes = ballot_classes(F, e.orders())
         assert [b for _, b in classes] == ballot_space(e, True)
         assert [k for k, _ in classes] == list(e.candidates)
+
+
+@pytest.mark.parametrize("order", ["x>y>z", "a>b", "a>b>c>d", "c>a"])
+def test_ballots_that_do_not_rank_the_candidates_are_refused(order):
+    """Checked once at entry, with the argument named, instead of a bare
+    KeyError from the winner or a verdict on a partial ballot."""
+    p = profile("a>b>c", "c>b>a")
+    tail = f"{order} does not rank every candidate of a b c once$"
+    cases = [
+        (lambda: is_manipulation(F, E2, p, 2, pref(order)), "alt"),
+        (lambda: dominant_preference(F, E2, 1, pref("a>b>c"), pref(order)), "alt"),
+        (lambda: dominant_preference(F, E2, 1, pref(order), pref("a>b>c")), "truth"),
+        (lambda: manipulations(F, E2, p.replace(1, pref(order)), 2),
+         "voter 1's ballot"),
+    ]
+    for call, what in cases:
+        with pytest.raises(ValueError, match=f"^{what} {tail}"):
+            call()

@@ -1,8 +1,10 @@
 """Knowledge of manipulation, dominance over information sets, maximin."""
 
+import collections
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 
 from conftest import pointed_models
@@ -11,6 +13,7 @@ from epivote import (
     KIND_ORDER,
     Election,
     KnowledgeProfile,
+    ManipulationReport,
     Plurality,
     ProfileModel,
     classify,
@@ -25,7 +28,7 @@ from epivote import (
     profile,
     random_model,
 )
-from epivote.strategic import _knows
+from epivote.strategic import _knows, _winners
 
 E2 = Election(("a", "b", "c"), 2)
 F = Plurality(pref("b>a>c"))
@@ -285,7 +288,8 @@ def assert_knows_matches_the_oracle(m, points, voters) -> set:
         for s, i in itertools.product(points, voters):
             considered = m.profiles_of(m.block_of(i, s))
             for mode in ("de_dicto", "de_re"):
-                got = _knows(m.election, F, i, considered, mode)
+                got = _knows(m.election, F, i, considered,
+                             _winners(m.election, F, considered), mode)
                 want = old_knows(m.election, F, i, considered, mode)
                 assert got == want, (s, i, mode)
                 if mode == "de_dicto":
@@ -323,3 +327,148 @@ def test_knows_matches_the_oracle_on_the_cubes():
     points = random.Random(5).sample(cube.states, 48)
     known = assert_knows_matches_the_oracle(cube, points, cube.election.voters)
     assert known == {("veto", "de_dicto")}
+
+
+def old_classify(kp, F, i):
+    """classify as it was: every notion tried ballot by ballot, each
+    considered profile's sincere winner recomputed for every ballot, the
+    manipulations by is_manipulation and the worst outcome by the
+    min(key=rank_value) form."""
+    e, orders = kp.election, kp.election.orders()
+    considered = kp.model.profiles_of(kp.information_set(i))
+    actual = kp.truth()
+    truth = actual.pref(i)
+
+    def worst(cs):
+        return min(cs, key=truth.rank_value)
+
+    def dominant(alt):
+        strict = False
+        for p in considered:
+            deviated, sincere = F.winner(e, p.replace(i, alt)), F.winner(e, p)
+            if truth.prefers(sincere, deviated):
+                return False
+            if truth.prefers(deviated, sincere):
+                strict = True
+        return strict
+
+    def pessimistic(alt):
+        sincere = worst([F.winner(e, p) for p in considered])
+        deviated = worst([F.winner(e, p.replace(i, alt)) for p in considered])
+        return truth.prefers(deviated, sincere)
+
+    manipulation_alts = tuple(
+        alt for alt in orders if is_manipulation(F, e, actual, i, alt))
+    dominant_alts = tuple(alt for alt in orders if dominant(alt))
+    pessimistic_alts = tuple(alt for alt in orders if pessimistic(alt))
+    de_dicto, witnesses = old_knows(e, F, i, considered, "de_dicto")
+    de_re, re_alts = old_knows(e, F, i, considered, "de_re")
+    flags = {
+        "knows_de_re": de_re,
+        "knows_de_dicto": de_dicto,
+        "dominant_of_infoset": bool(dominant_alts),
+        "pessimistic": bool(pessimistic_alts),
+        "has_manipulation": bool(manipulation_alts),
+        "none": True,
+    }
+    return ManipulationReport(
+        voter=i,
+        kind=next(k for k in KIND_ORDER if flags[k]),
+        has_manipulation=bool(manipulation_alts),
+        knows_de_dicto=de_dicto,
+        knows_de_re=de_re,
+        manipulation_alts=manipulation_alts,
+        dominant_alts=dominant_alts,
+        pessimistic_alts=pessimistic_alts,
+        de_re_alts=tuple(re_alts) if de_re else (),
+        de_dicto_witnesses=witnesses if de_dicto else {},
+    )
+
+
+def assert_classify_matches_the_oracle(m, points, rules) -> set:
+    """Every report field, kind included and the de dicto witnesses in the
+    same dict order, at each point for every voter. Returns the kinds seen."""
+    kinds = set()
+    for F in rules:
+        for s, i in itertools.product(points, m.election.voters):
+            kp = KnowledgeProfile(m, s)
+            got, want = classify(kp, F, i), old_classify(kp, F, i)
+            assert got == want, (F.name, s, i)
+            assert got.kind == want.kind
+            assert (list(got.de_dicto_witnesses.items())
+                    == list(want.de_dicto_witnesses.items())), (F.name, s, i)
+            kinds.add(got.kind)
+    return kinds
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(m=pointed_models())
+def test_classify_matches_the_per_ballot_oracle_on_small_models(m):
+    assert_classify_matches_the_oracle(
+        m, m.states, (Plurality(m.tiebreak), Veto(m.tiebreak)))
+
+
+def test_classify_matches_the_per_ballot_oracle_on_the_cubes():
+    """Every point of the 3x3 cube and 48 seeded points of the 4x2 cube,
+    under plurality and the keyless veto rule."""
+    cube = hypercube(Election(("a", "b", "c"), 3), tiebreak=pref("b>a>c"))
+    kinds = assert_classify_matches_the_oracle(
+        cube, cube.states, (Plurality(cube.tiebreak), Veto(cube.tiebreak)))
+    cube = hypercube(Election(("a", "b", "c", "d"), 2), tiebreak=pref("c>a>d>b"))
+    points = random.Random(5).sample(cube.states, 48)
+    kinds |= assert_classify_matches_the_oracle(
+        cube, points, (Plurality(cube.tiebreak), Veto(cube.tiebreak)))
+    assert {"pessimistic", "has_manipulation", "none"} <= kinds
+
+
+class CountingRule:
+    """Plurality that counts its winner calls per profile object."""
+
+    name = "plurality"
+
+    def __init__(self, tiebreak):
+        self.rule, self.calls = Plurality(tiebreak), collections.Counter()
+
+    def winner(self, e, votes):
+        self.calls[id(votes)] += 1
+        return self.rule.winner(e, votes)
+
+    def ballot_key(self, ballot):
+        return self.rule.ballot_key(ballot)
+
+
+def test_classify_computes_each_sincere_winner_once(all_fixture_models):
+    """Deviated profiles are fresh objects, so a call on a considered
+    profile's own object is its sincere winner."""
+    cube = hypercube(Election(("a", "b", "c"), 3), tiebreak=pref("b>a>c"))
+    cube42 = hypercube(Election(("a", "b", "c", "d"), 2), tiebreak=pref("c>a>d>b"))
+    pointed = [(cube, s) for s in cube.states[::37]]
+    pointed += [(cube42, s) for s in cube42.states[::97]]
+    pointed += [(m, s) for m in all_fixture_models.values() for s in m.states]
+    for m, s in pointed:
+        kp = KnowledgeProfile(m, s)
+        for i in m.election.voters:
+            F = CountingRule(m.tiebreak)
+            report = classify(kp, F, i)
+            considered = m.profiles_of(m.block_of(i, s))
+            assert [F.calls[id(p)] for p in considered] == [1] * len(considered)
+            assert report == classify(kp, Plurality(m.tiebreak), i)
+
+
+def test_ballots_that_do_not_rank_the_candidates_are_refused(nested_doubt):
+    kp, e = nested_doubt.pointed(), nested_doubt.election
+    actual = kp.truth()
+    for order in ("a>b", "a>b>c>d", "c>a", "x>y>z"):
+        named = f"^alt {order} does not rank every candidate of a b c once$"
+        for call in (
+                lambda: pessimistic_manipulation(kp, F, 1, pref(order)),
+                lambda: dominant_manipulation_of_infoset(kp, F, 1, pref(order)),
+                lambda: is_manipulation(F, e, actual, 2, pref(order))):
+            with pytest.raises(ValueError, match=named):
+                call()
+    foreign = actual.replace(2, pref("x>y>z"))
+    named = "^voter 2's ballot x>y>z does not rank every candidate of a b c once$"
+    for call in (lambda: is_manipulation(F, e, foreign, 1, pref("b>a>c")),
+                 lambda: manipulations(F, e, foreign, 1)):
+        with pytest.raises(ValueError, match=named):
+            call()
