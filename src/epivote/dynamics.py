@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import EmptyResult, UnknownState
-from .games import ConditionalProfile, _Game, strategy_label
+from .games import ConditionalProfile, _check_shape, _Game, strategy_label
 from .logic import Formula, ProfileAtom, big_or, denotation, to_text
 from .model import (
     Election,
@@ -28,8 +28,8 @@ from .model import (
     make_model,
     restrict,
 )
-from .rules import Plurality, VotingRule
-from .strategic import _considered, _dominant_alts, _knows, _winners
+from .rules import Plurality, VotingRule, _deviation_rows
+from .strategic import _considered, _dominant, _knows
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,9 @@ def update_conditional_profile(
     Each information set of the updated model is contained in exactly one
     old set (updates only split blocks), so it inherits that set's choice;
     sets with no surviving state disappear along with their choices.
+    Raises ValueError for a cp of the wrong shape for m (see games).
     """
+    _check_shape(m, cp)
     return tuple(
         tuple(cp[i - 1][m.block_ids(i)[m.index(block[0])]]
               for block in u.model.blocks(i))
@@ -165,11 +167,13 @@ def _holds(
 def _pointed(e, F, property, voter, truth, considered) -> tuple[bool, object]:
     """A pointed property and its witness for voter, whose ballot at the
     point is truth, over the profiles she considers possible there."""
+    alts = e.orders()
+    rows = _deviation_rows(e, F, voter, considered, alts)
     if property != "dominant_manipulation":
-        return _knows(e, F, voter, considered, _winners(e, F, considered),
+        return _knows(voter, considered, rows, alts,
                       property.removeprefix("knowledge_"))
-    alts = _dominant_alts(e, F, voter, truth, considered)
-    return (bool(alts), alts)
+    found = _dominant(truth, rows, alts)
+    return (bool(found), found)
 
 
 def _holds_after(

@@ -2,11 +2,14 @@
 
 The library raises two kinds of error. Faults of a model, a formula or a
 size cap derive from EpivoteError. A bad argument value raises the builtin
-ValueError: an Election or Preference that cannot be built, a conditional
-profile of the wrong shape (games), a grid of other than two voters
-(payoff_matrix), an unknown mode (knows_manipulation), and an unknown
-property, a budget or a state count out of range (dynamics). The CLI maps
-both, and OSError, to exit code 2 without enumerating causes.
+ValueError: an Election or Preference that cannot be built, a ballot or
+tiebreak that does not rank the candidates once, a profile without one
+ballot per voter (rules, games), a conditional profile of the wrong shape
+(games, update_conditional_profile) or with a missing choice
+(conditional_profile), a grid of other than two voters (payoff_matrix), an
+unknown mode (knows_manipulation), and an unknown property, a budget or a
+state count out of range (dynamics). The CLI maps both, and OSError, to
+exit code 2 without enumerating causes.
 """
 
 

@@ -36,7 +36,14 @@ from .model import (
     make_model,
     ranks_every_candidate,
 )
-from .rules import VotingRule, _key_of, ballot_classes, ballot_count, ballot_space
+from .rules import (
+    VotingRule,
+    _check_profile,
+    _key_of,
+    ballot_classes,
+    ballot_count,
+    ballot_space,
+)
 
 # cp[i-1][k] is the ballot voter i casts on her k-th block (model block order).
 ConditionalProfile = tuple[tuple[Preference, ...], ...]
@@ -67,9 +74,12 @@ def conditional_profile(m: ProfileModel, choices) -> ConditionalProfile:
     """Build a ConditionalProfile from {voter: {block: Preference}}.
 
     Accepts blocks keyed by the tuple itself or by any member state.
+    Raises ValueError when a voter or one of her blocks has no choice.
     """
     out = []
     for i in m.election.voters:
+        if i not in choices:
+            raise ValueError(f"no choices for voter {i}")
         given = choices[i]
         row = []
         for block in m.blocks(i):
@@ -78,7 +88,7 @@ def conditional_profile(m: ProfileModel, choices) -> ConditionalProfile:
             else:
                 members = [s for s in block if s in given]
                 if not members:
-                    raise KeyError(f"no choice for voter {i} block {block}")
+                    raise ValueError(f"no choice for voter {i} block {block}")
                 row.append(given[members[0]])
         out.append(tuple(row))
     return tuple(out)
@@ -360,7 +370,11 @@ def is_equilibrium_profile(
     sincere profile checked against itself); pass truth to score an arbitrary
     ballot profile against fixed real preferences. Deviations try one ballot
     per class the rule tells apart, which decides as all m! ballots would.
+    Raises ValueError unless votes and truth hold one ballot per voter, each
+    ranking e's candidates once.
     """
+    if truth is not None:
+        _check_profile(e, truth)
     m = _one_state(e, votes if truth is None else truth)
     return is_conditional_equilibrium(m, F, tuple((b,) for b in votes.prefs))[0]
 
@@ -373,8 +387,10 @@ def enumerate_equilibria(
     Profiles are drawn from ballot_space(e, by_top), the later voter cycling
     fastest; deviations try one ballot per class the rule tells apart, with
     the verdicts of all m! ballots. The by-top space is sound only for rules
-    that read nothing but the top choices.
+    that read nothing but the top choices. ValueError as for
+    is_equilibrium_profile.
     """
+    _check_profile(e, truth)
     m = _one_state(e, truth)
     cps = enumerate_conditional_equilibria(m, F, by_top)
     return [Profile(tuple(row[0] for row in cp)) for cp in cps]

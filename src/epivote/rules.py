@@ -108,26 +108,39 @@ def is_manipulation(
 ) -> bool:
     """Does voting alt instead of her true p-preference strictly help i?
 
-    ValueError when alt or a ballot of p does not rank e's candidates once.
+    ValueError when p does not hold one ballot per voter, or when alt or a
+    ballot of p does not rank e's candidates once.
     """
     _check_profile(e, p)
     check_ranking(alt, e.candidates, "alt")
     truth = p.pref(i)
-    return truth.prefers(F.winner(e, p.replace(i, alt)), F.winner(e, p))
+    [(sincere, [won])] = _deviation_rows(e, F, i, [p], [alt])
+    return truth.prefers(won, sincere)
 
 
 def manipulations(F: VotingRule, e: Election, p: Profile, i: Voter) -> list[Preference]:
-    """All ballots that strictly improve on sincere voting for i at p, the
-    sincere winner computed once. ValueError as for is_manipulation."""
+    """All ballots that strictly improve on sincere voting for i at p, in
+    e.orders() order. ValueError as for is_manipulation."""
     _check_profile(e, p)
-    truth, sincere = p.pref(i), F.winner(e, p)
-    return [alt for alt in e.orders()
-            if truth.prefers(F.winner(e, p.replace(i, alt)), sincere)]
+    truth, alts = p.pref(i), e.orders()
+    [(sincere, winners)] = _deviation_rows(e, F, i, [p], alts)
+    return [alt for alt, won in zip(alts, winners) if truth.prefers(won, sincere)]
 
 
 def _check_profile(e: Election, p: Profile) -> None:
+    if len(p.prefs) != e.num_voters:
+        raise ValueError(
+            f"expected {e.num_voters} ballots, one per voter, got {len(p.prefs)}")
     for voter, ballot in enumerate(p.prefs, start=1):
         check_ranking(ballot, e.candidates, f"voter {voter}'s ballot")
+
+
+def _deviation_rows(e: Election, F: VotingRule, i: Voter, profiles, ballots):
+    """The deviation table every manipulation notion reads: per profile,
+    lazily and in order, its sincere winner and the list of winners when
+    voter i casts each of ballots instead."""
+    for p in profiles:
+        yield F.winner(e, p), [F.winner(e, p.replace(i, b)) for b in ballots]
 
 
 def dominant_preference(
@@ -151,14 +164,15 @@ def dominant_preference(
     check_ranking(alt, e.candidates, "alt")
     check_size(ballot_count(e, False) ** e.num_voters, "profiles")
     orders = e.orders()
+    mine = orders.index(alt)
+    sincere_profiles = (Profile(others[:i - 1] + (truth,) + others[i - 1:])
+                        for others in itertools.product(orders, repeat=e.num_voters - 1))
     strict_somewhere = False
-    for others in itertools.product(orders, repeat=e.num_voters - 1):
-        sincere = Profile(others[:i - 1] + (truth,) + others[i - 1:])
-        with_alt = F.winner(e, sincere.replace(i, alt))
-        for mine in orders:
-            if truth.prefers(F.winner(e, sincere.replace(i, mine)), with_alt):
-                return False
-        if truth.prefers(with_alt, F.winner(e, sincere)):
+    for sincere, winners in _deviation_rows(e, F, i, sincere_profiles, orders):
+        with_alt = winners[mine]
+        if any(truth.prefers(won, with_alt) for won in winners):
+            return False
+        if truth.prefers(with_alt, sincere):
             strict_somewhere = True
     return strict_somewhere
 

@@ -6,6 +6,11 @@ her own preference is constant across it, so "she prefers" is unambiguous.
 Deviations are judged against the others voting sincerely in each considered
 profile, which is what separates this module from the conditional-games view
 where deviations are judged against a strategy profile.
+
+Every notion reads one deviation table (rules._deviation_rows): per
+considered profile, its sincere winner and the winner after each ballot she
+could cast instead. The knowledge scans draw its rows one at a time and stop
+early; classify lists them once and shares them across all five notions.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .model import KnowledgeProfile, Preference, Profile, Voter, check_ranking
-from .rules import VotingRule, _key_of, ballot_classes
+from .rules import VotingRule, _deviation_rows
 
 
 def knows_manipulation(
@@ -31,7 +36,9 @@ def knows_manipulation(
     if mode not in ("de_dicto", "de_re"):
         raise ValueError(f"mode must be de_dicto or de_re, not {mode!r}")
     e, considered = kp.election, _considered(kp, i)
-    return _knows(e, F, i, considered, _winners(e, F, considered), mode)
+    alts = e.orders()
+    return _knows(i, considered, _deviation_rows(e, F, i, considered, alts),
+                  alts, mode)
 
 
 def dominant_manipulation_of_infoset(
@@ -44,11 +51,9 @@ def dominant_manipulation_of_infoset(
     considered profile it does strictly better. ValueError when alt does not
     rank the candidates once.
     """
-    e = kp.election
-    check_ranking(alt, e.candidates, "alt")
-    considered = _considered(kp, i)
-    return _dominant(e, F, i, kp.truth().pref(i), considered,
-                     _winners(e, F, considered), alt)
+    check_ranking(alt, kp.election.candidates, "alt")
+    rows = _deviation_rows(kp.election, F, i, _considered(kp, i), [alt])
+    return bool(_dominant(kp.truth().pref(i), rows, [alt]))
 
 
 def pessimistic_manipulation(
@@ -60,12 +65,9 @@ def pessimistic_manipulation(
     considered profiles, others sincere in each. ValueError when alt does
     not rank the candidates once.
     """
-    e = kp.election
-    check_ranking(alt, e.candidates, "alt")
-    considered = _considered(kp, i)
-    truth = kp.truth().pref(i)
-    worst = truth.worst_of(_winners(e, F, considered))
-    return _pessimistic(e, F, i, truth, considered, worst, alt)
+    check_ranking(alt, kp.election.candidates, "alt")
+    rows = list(_deviation_rows(kp.election, F, i, _considered(kp, i), [alt]))
+    return bool(_pessimistic(kp.truth().pref(i), rows, [alt]))
 
 
 def _considered(kp: KnowledgeProfile, i: Voter) -> list[Profile]:
@@ -73,75 +75,54 @@ def _considered(kp: KnowledgeProfile, i: Voter) -> list[Profile]:
     return kp.model.profiles_of(kp.information_set(i))
 
 
-def _winners(e, F: VotingRule, profiles):
-    """Each profile's sincere winner, lazily and in order."""
-    return (F.winner(e, p) for p in profiles)
+# The reads below take deviation rows, one per considered profile, whose
+# columns follow alts.
 
+def _knows(i: Voter, considered: list[Profile], rows, alts, mode: str):
+    """knows_manipulation on rows aligned with the considered profiles.
 
-# The helpers below take the considered profiles, so classify reads them once,
-# and their sincere winners in the same order, so each is computed once a call.
-
-def _knows(e, F: VotingRule, i: Voter, considered: list[Profile], sincere,
-           mode: str):
-    """knows_manipulation on the considered profiles.
-
-    sincere may be lazy: a winner is drawn only for a profile visited before
-    an early exit. Ballots with equal keys under F win alike (see
-    ballot_classes), so each profile's helping ballots are found from its
-    sincere winner and one deviated winner per class, then listed in
-    e.orders() order.
+    rows may be lazy: a row is drawn only for a profile visited before an
+    early exit. Each row is judged by that profile's own ranking of i.
     """
-    alts, key = e.orders(), _key_of(F)
-    classes = ballot_classes(F, alts)
-
-    def helping(p: Profile, won) -> set:
-        truth = p.pref(i)
-        return {k for k, alt in classes
-                if truth.prefers(F.winner(e, p.replace(i, alt)), won)}
-
     if mode == "de_dicto":
         witnesses: dict[Profile, tuple[Preference, ...]] = {}
-        for p, won in zip(considered, sincere):
-            working = helping(p, won)
+        for p, (won, winners) in zip(considered, rows):
+            truth = p.pref(i)
+            working = tuple(alt for alt, w in zip(alts, winners)
+                            if truth.prefers(w, won))
             if not working:
                 return False, {}
-            witnesses[p] = tuple(alt for alt in alts if key(alt) in working)
+            witnesses[p] = working
         return True, witnesses
-    common = {k for k, _ in classes}
-    for p, won in zip(considered, sincere):
-        common &= helping(p, won)
-        if not common:
+    live = range(len(alts))
+    for p, (won, winners) in zip(considered, rows):
+        truth = p.pref(i)
+        live = [k for k in live if truth.prefers(winners[k], won)]
+        if not live:
             break
-    uniform = tuple(alt for alt in alts if key(alt) in common)
+    uniform = tuple(alts[k] for k in live)
     return bool(uniform), uniform
 
 
-def _dominant(e, F: VotingRule, i: Voter, truth: Preference,
-              considered: list[Profile], sincere, alt: Preference) -> bool:
-    strict = False
-    for p, won in zip(considered, sincere):
-        deviated = F.winner(e, p.replace(i, alt))
-        if truth.prefers(won, deviated):
-            return False
-        if truth.prefers(deviated, won):
-            strict = True
-    return strict
+def _dominant(truth: Preference, rows, alts) -> tuple[Preference, ...]:
+    """The alts never worse than sincerity in a row and better in one.
+
+    rows may be lazy: they are drawn until every alt is worse in one.
+    """
+    live, better = range(len(alts)), set()
+    for won, winners in rows:
+        live = [k for k in live if not truth.prefers(won, winners[k])]
+        if not live:
+            break
+        better.update(k for k in live if truth.prefers(winners[k], won))
+    return tuple(alts[k] for k in live if k in better)
 
 
-def _dominant_alts(
-    e, F: VotingRule, i: Voter, truth: Preference, considered: list[Profile]
-) -> tuple[Preference, ...]:
-    """The ballots dominant_manipulation_of_infoset accepts, in e.orders() order."""
-    sincere = list(_winners(e, F, considered))
-    return tuple(alt for alt in e.orders()
-                 if _dominant(e, F, i, truth, considered, sincere, alt))
-
-
-def _pessimistic(e, F: VotingRule, i: Voter, truth: Preference,
-                 considered: list[Profile], worst, alt: Preference) -> bool:
-    """Does alt's worst considered winner beat worst, the worst sincere one?"""
-    deviated = truth.worst_of(F.winner(e, p.replace(i, alt)) for p in considered)
-    return truth.prefers(deviated, worst)
+def _pessimistic(truth: Preference, rows: list, alts) -> tuple[Preference, ...]:
+    """The alts whose worst winner over the rows beats the worst sincere one."""
+    worst = truth.worst_of(won for won, _ in rows)
+    return tuple(alt for k, alt in enumerate(alts)
+                 if truth.prefers(truth.worst_of(w[k] for _, w in rows), worst))
 
 
 # Strongest label first; classify() reports the first one that applies.
@@ -177,20 +158,14 @@ def classify(kp: KnowledgeProfile, F: VotingRule, i: Voter) -> ManipulationRepor
     considered = _considered(kp, i)
     actual = kp.truth()
     truth = actual.pref(i)
-    sincere = list(_winners(e, F, considered))
-    won = sincere[considered.index(actual)]
+    rows = list(_deviation_rows(e, F, i, considered, orders))
+    won, winners = rows[considered.index(actual)]
     manipulation_alts = tuple(
-        alt for alt in orders
-        if truth.prefers(F.winner(e, actual.replace(i, alt)), won))
-    dominant_alts = tuple(
-        alt for alt in orders
-        if _dominant(e, F, i, truth, considered, sincere, alt))
-    worst = truth.worst_of(sincere)
-    pessimistic_alts = tuple(
-        alt for alt in orders
-        if _pessimistic(e, F, i, truth, considered, worst, alt))
-    de_dicto, dicto_witnesses = _knows(e, F, i, considered, sincere, "de_dicto")
-    de_re, re_alts = _knows(e, F, i, considered, sincere, "de_re")
+        alt for alt, w in zip(orders, winners) if truth.prefers(w, won))
+    dominant_alts = _dominant(truth, rows, orders)
+    pessimistic_alts = _pessimistic(truth, rows, orders)
+    de_dicto, dicto_witnesses = _knows(i, considered, rows, orders, "de_dicto")
+    de_re, re_alts = _knows(i, considered, rows, orders, "de_re")
     flags = {
         "knows_de_re": de_re,
         "knows_de_dicto": de_dicto,

@@ -165,20 +165,41 @@ def cube42(tmp_path_factory):
     return str(path)
 
 
-# (golden name, model, point): the five fixtures at their points, and two
-# points of the 4x2 cube where a voter has manipulations.
+# One state, 8 candidates, 2 voters: voter 2's 5,040 manipulations fill
+# every list of her report, so the file pins the e.orders() order of rows of
+# 40,320 ballots.
+EIGHT = """\
+candidates: a b c d e f g h
+voters: 2
+tiebreak: b a c d e f g h
+state s = 1: a>b>c>d>e>f>g>h ; 2: h>g>f>e>d>c>b>a
+point: s
+"""
+
+
+@pytest.fixture(scope="module")
+def eight(tmp_path_factory):
+    path = tmp_path_factory.mktemp("eight") / "eight.model"
+    path.write_text(EIGHT)
+    return str(path)
+
+
+# (golden name, model, point): the five fixtures at their points, two
+# points of the 4x2 cube where a voter has manipulations, and the
+# 8-candidate file.
 MANIPULATIONS_CASES = [(name, name, None) for name in (
     "hidden-flip", "known-aligned", "known-opposed", "mutual-doubt",
     "nested-doubt")] + [(f"cube42-{s}", "cube42", s)
-                        for s in ("cabd_dabc", "cabd_dbca")]
+                        for s in ("cabd_dabc", "cabd_dbca")] + [
+    ("eight", "eight", None)]
 
 
 @pytest.mark.parametrize("fmt", ["text", "records"])
 @pytest.mark.parametrize("name,model,point", MANIPULATIONS_CASES)
-def test_manipulations_output_matches_golden(capsys, cube42, name, model,
-                                             point, fmt):
+def test_manipulations_output_matches_golden(capsys, cube42, eight, name,
+                                             model, point, fmt):
     """Every voter's report, byte for byte."""
-    path = cube42 if model == "cube42" else fixture_path(model)
+    path = {"cube42": cube42, "eight": eight}.get(model) or fixture_path(model)
     at = [] if point is None else ["--point", point]
     code, out, err = run(capsys, "manipulations", path, *at, "--format", fmt)
     assert (code, err) == (0, "")

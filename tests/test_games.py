@@ -14,6 +14,7 @@ import tracemalloc
 import pytest
 
 from epivote import (
+    TRUE,
     Election,
     Plurality,
     SizeLimit,
@@ -33,6 +34,8 @@ from epivote import (
     profile,
     random_model,
     sincere_conditional_profile,
+    update,
+    update_conditional_profile,
     virtual_voters,
     VirtualVoter,
     worst_winner,
@@ -417,13 +420,38 @@ _ABC, _ACB, _BAC = pref("a>b>c"), pref("a>c>b"), pref("b>a>c")
 ])
 def test_conditional_profile_shape_is_checked(hidden_flip, cp, message):
     # voter 1 has two blocks and voter 2 one; flattening these profiles
-    # shifted the slots silently, so the check returned (True, None)
+    # shifted the slots silently, so the check returned (True, None), and
+    # carrying them across an update raised a bare IndexError or kept them
     rule = Plurality(hidden_flip.tiebreak)
     for call in (lambda: is_conditional_equilibrium(hidden_flip, rule, cp),
                  lambda: induced_votes(hidden_flip, cp, "t"),
-                 lambda: induced_winners(hidden_flip, rule, cp)):
+                 lambda: induced_winners(hidden_flip, rule, cp),
+                 lambda: update_conditional_profile(
+                     hidden_flip, cp, update(hidden_flip, TRUE, rule))):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+def test_conditional_profile_names_the_missing_choice(hidden_flip):
+    # both used to escape as a bare KeyError
+    with pytest.raises(ValueError, match=r"^no choices for voter 2$"):
+        conditional_profile(hidden_flip, {1: {"t": _ABC, "u": _ABC}})
+    with pytest.raises(ValueError,
+                       match=r"^no choice for voter 1 block \('u',\)$"):
+        conditional_profile(hidden_flip, {1: {"t": _ABC}, 2: {"t": _ABC}})
+
+
+def test_equilibrium_truth_profiles_are_checked():
+    # a foreign truth used to raise a bare KeyError, a short one to give a
+    # verdict
+    rule, votes = Plurality(_BAC), profile("a>b>c", "c>b>a")
+    for truth, message in ((profile("a>b>c"), "^expected 2 ballots, one per voter, got 1$"),
+                           (profile("a>b>c", "z>y>x"),
+                            "^voter 2's ballot z>y>x does not rank every candidate")):
+        for call in (lambda: is_equilibrium_profile(rule, E2, votes, truth),
+                     lambda: enumerate_equilibria(rule, E2, truth, by_top=True)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 def test_by_top_labels_join_multi_character_tops():

@@ -1,11 +1,15 @@
 """Plurality with tiebreak, manipulations, dominance, profile equilibria."""
 
+import itertools
+import random
+
 import pytest
 
 from epivote import (
     Election,
     MissingTiebreak,
     Plurality,
+    Profile,
     UnknownVoter,
     dominant_preference,
     enumerate_equilibria,
@@ -159,3 +163,82 @@ def test_ballots_that_do_not_rank_the_candidates_are_refused(order):
     for call, what in cases:
         with pytest.raises(ValueError, match=f"^{what} {tail}"):
             call()
+
+
+@pytest.mark.parametrize("ballots", [1, 3])
+def test_profiles_with_the_wrong_number_of_ballots_are_refused(ballots):
+    """One ValueError naming both counts, instead of a verdict on a profile
+    of another election."""
+    p = profile(*["c>b>a", "c>a>b", "c>b>a"][:ballots])
+    named = f"^expected 2 ballots, one per voter, got {ballots}$"
+    for call in (lambda: manipulations(F, E2, p, 1),
+                 lambda: is_manipulation(F, E2, p, 1, pref("b>a>c"))):
+        with pytest.raises(ValueError, match=named):
+            call()
+
+
+# The deviation loops as they were before every notion read one deviation
+# table: a fresh replace and winner call per ballot, kept as oracles.
+
+def old_is_manipulation(F, e, p, i, alt):
+    truth = p.pref(i)
+    return truth.prefers(F.winner(e, p.replace(i, alt)), F.winner(e, p))
+
+
+def old_manipulations(F, e, p, i):
+    truth, sincere = p.pref(i), F.winner(e, p)
+    return [alt for alt in e.orders()
+            if truth.prefers(F.winner(e, p.replace(i, alt)), sincere)]
+
+
+def old_dominant_preference(F, e, i, truth, alt):
+    orders = e.orders()
+    strict_somewhere = False
+    for others in itertools.product(orders, repeat=e.num_voters - 1):
+        sincere = Profile(others[:i - 1] + (truth,) + others[i - 1:])
+        with_alt = F.winner(e, sincere.replace(i, alt))
+        for mine in orders:
+            if truth.prefers(F.winner(e, sincere.replace(i, mine)), with_alt):
+                return False
+        if truth.prefers(with_alt, F.winner(e, sincere)):
+            strict_somewhere = True
+    return strict_somewhere
+
+
+class LastOfVoterOne:
+    """Voter 1's bottom candidate wins: her reversed ballot dominates."""
+
+    name = "last"
+
+    def winner(self, e, votes):
+        return votes.prefs[0].order[-1]
+
+
+def test_deviation_notions_match_the_old_loops():
+    """Seeded profiles at 3 and 4 candidates, under plurality, the keyless
+    veto rule and a rule with dominant ballots; manipulations in the same
+    order."""
+    from test_games_oracle import Veto
+    rng, found = random.Random(31), set()
+    for e in (E2, E3, Election(("a", "b", "c", "d"), 2),
+              Election(("a", "b", "c", "d"), 3)):
+        orders = e.orders()
+        for rule in (Plurality(rng.choice(orders)), Veto(rng.choice(orders)),
+                     LastOfVoterOne()):
+            for _ in range(25):
+                p = Profile(tuple(rng.choice(orders) for _ in e.voters))
+                for i in e.voters:
+                    got = manipulations(rule, e, p, i)
+                    assert got == old_manipulations(rule, e, p, i)
+                    assert [is_manipulation(rule, e, p, i, a) for a in orders] \
+                        == [old_is_manipulation(rule, e, p, i, a) for a in orders]
+                    found.add((rule.name, bool(got)))
+            if e.num_voters == 2:
+                pairs = list(itertools.product(orders, repeat=2))
+                for truth, alt in rng.sample(pairs, min(len(pairs), 36)):
+                    for i in e.voters:
+                        got = dominant_preference(rule, e, i, truth, alt)
+                        assert got == old_dominant_preference(rule, e, i, truth, alt)
+                        found.add((rule.name, "dominant", got))
+    assert {(r, b) for r in ("plurality", "veto") for b in (True, False)} <= found
+    assert ("last", "dominant", True) in found

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from conftest import pointed_models
 from test_games_oracle import Veto
+from test_rules import old_is_manipulation
 from epivote import (
     KIND_ORDER,
     Election,
@@ -28,7 +29,8 @@ from epivote import (
     profile,
     random_model,
 )
-from epivote.strategic import _knows, _winners
+from epivote.rules import _deviation_rows
+from epivote.strategic import _knows
 
 E2 = Election(("a", "b", "c"), 2)
 F = Plurality(pref("b>a>c"))
@@ -259,13 +261,13 @@ def test_classify_agrees_with_each_notion(m):
 
 def old_knows(e, F, i, considered, mode):
     """_knows as it was: every ballot of e.orders() tried in every
-    considered profile, with is_manipulation."""
+    considered profile, with the old is_manipulation loop."""
     alts = e.orders()
     if mode == "de_dicto":
         witnesses = {}
         for p in considered:
             working = tuple(
-                alt for alt in alts if is_manipulation(F, e, p, i, alt)
+                alt for alt in alts if old_is_manipulation(F, e, p, i, alt)
             )
             if not working:
                 return False, {}
@@ -274,7 +276,7 @@ def old_knows(e, F, i, considered, mode):
     uniform = tuple(
         alt
         for alt in alts
-        if all(is_manipulation(F, e, p, i, alt) for p in considered)
+        if all(old_is_manipulation(F, e, p, i, alt) for p in considered)
     )
     return bool(uniform), uniform
 
@@ -287,9 +289,10 @@ def assert_knows_matches_the_oracle(m, points, voters) -> set:
     for F in (Plurality(m.tiebreak), Veto(m.tiebreak)):
         for s, i in itertools.product(points, voters):
             considered = m.profiles_of(m.block_of(i, s))
+            alts = m.election.orders()
             for mode in ("de_dicto", "de_re"):
-                got = _knows(m.election, F, i, considered,
-                             _winners(m.election, F, considered), mode)
+                rows = _deviation_rows(m.election, F, i, considered, alts)
+                got = _knows(i, considered, rows, alts, mode)
                 want = old_knows(m.election, F, i, considered, mode)
                 assert got == want, (s, i, mode)
                 if mode == "de_dicto":
@@ -305,6 +308,16 @@ def test_knows_matches_the_oracle_on_small_models(m):
     assert_knows_matches_the_oracle(m, m.states, m.election.voters)
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(m=pointed_models(broken=True))
+def test_knows_matches_the_oracle_on_models_validate_model_rejects(m):
+    """Each row is judged by its own profile's ranking of the voter, also
+    where that ranking varies within her block."""
+    covered = [s for s in m.states
+               if all(m.block_ids(i)[m.index(s)] >= 0 for i in m.election.voters)]
+    assert_knows_matches_the_oracle(m, covered, m.election.voters)
+
+
 def test_knows_matches_the_oracle_on_seeded_models():
     """Models with several states per block, where both modes hold under
     both rules, so witnesses are compared and not only empty verdicts."""
@@ -315,6 +328,42 @@ def test_knows_matches_the_oracle_on_seeded_models():
             known |= assert_knows_matches_the_oracle(m, m.states, e.voters)
     assert known == {(rule, mode) for rule in ("plurality", "veto")
                      for mode in ("de_dicto", "de_re")}
+
+
+class Borda:
+    """Borda count, ties by tiebreak: every ballot scores differently, so a
+    single ballot can be the only one that helps."""
+
+    name = "borda"
+
+    def __init__(self, tiebreak):
+        self.tiebreak = tiebreak
+
+    def winner(self, e, votes):
+        score = {c: 0 for c in e.candidates}
+        for ballot in votes.prefs:
+            for points, c in enumerate(reversed(ballot.order)):
+                score[c] += points
+        best = max(score.values())
+        return min((c for c in e.candidates if score[c] == best),
+                   key=self.tiebreak.order.index)
+
+
+def test_knows_matches_the_oracle_under_borda():
+    rng, sizes = random.Random(29), collections.Counter()
+    for e in (E2, Election(("a", "b", "c", "d"), 2)):
+        for _ in range(60):
+            m = random_model(rng, e, max_states=4)
+            F, alts = Borda(m.tiebreak), e.orders()
+            for s, i in itertools.product(m.states, e.voters):
+                considered = m.profiles_of(m.block_of(i, s))
+                for mode in ("de_dicto", "de_re"):
+                    rows = _deviation_rows(e, F, i, considered, alts)
+                    got = _knows(i, considered, rows, alts, mode)
+                    assert got == old_knows(e, F, i, considered, mode), (s, i, mode)
+                    if mode == "de_re":
+                        sizes[len(got[1])] += 1
+    assert sizes[1] > 0
 
 
 def test_knows_matches_the_oracle_on_the_cubes():
@@ -332,8 +381,8 @@ def test_knows_matches_the_oracle_on_the_cubes():
 def old_classify(kp, F, i):
     """classify as it was: every notion tried ballot by ballot, each
     considered profile's sincere winner recomputed for every ballot, the
-    manipulations by is_manipulation and the worst outcome by the
-    min(key=rank_value) form."""
+    manipulations by the old is_manipulation loop and the worst outcome by
+    the min(key=rank_value) form."""
     e, orders = kp.election, kp.election.orders()
     considered = kp.model.profiles_of(kp.information_set(i))
     actual = kp.truth()
@@ -358,7 +407,7 @@ def old_classify(kp, F, i):
         return truth.prefers(deviated, sincere)
 
     manipulation_alts = tuple(
-        alt for alt in orders if is_manipulation(F, e, actual, i, alt))
+        alt for alt in orders if old_is_manipulation(F, e, actual, i, alt))
     dominant_alts = tuple(alt for alt in orders if dominant(alt))
     pessimistic_alts = tuple(alt for alt in orders if pessimistic(alt))
     de_dicto, witnesses = old_knows(e, F, i, considered, "de_dicto")
