@@ -25,9 +25,9 @@ import json
 import sys
 
 from . import dynamics, games, logic, strategic
-from .errors import DanglingState, EpivoteError, UnknownState
+from .errors import EpivoteError, UnknownState
 from .model import (Election, Preference, ProfileModel, hypercube, pref,
-                    ranks_every_candidate, validate_model)
+                    validate_model)
 from .modelfile import load_model, save_model, write_model
 from .rules import Plurality, rule_for
 
@@ -143,8 +143,7 @@ def _load(args) -> ProfileModel:
     m = load_model(args.model)
     point = getattr(args, "point", None)
     if point is not None:
-        if point not in m.states:
-            raise UnknownState(f"no state {point!r} in the model")
+        m.index(point)
         m = dataclasses.replace(m, point=point)
     return m
 
@@ -282,9 +281,6 @@ def cmd_update(args) -> int:
 def cmd_hypercube(args) -> int:
     e = _listed_election(args)
     tiebreak = _parse_order(args.tiebreak) if args.tiebreak else None
-    if tiebreak is not None and not ranks_every_candidate(tiebreak.order, e.candidates):
-        # the text validate_model gives for a model with such a tiebreak
-        raise DanglingState("tiebreak order must rank every candidate once")
     m = hypercube(e, tiebreak=tiebreak)
     validate_model(m)
     if args.output:

@@ -10,6 +10,12 @@ ballot per voter (rules, games), a conditional profile of the wrong shape
 unknown mode (knows_manipulation), and an unknown property, a budget or a
 state count out of range (dynamics). The CLI maps both, and OSError, to
 exit code 2 without enumerating causes.
+
+A voter is an int, not a bool, in 1..n; anything else raises UnknownVoter
+from model.check_voter, the one voter rule. Profile.pref and
+Profile.replace, ProfileModel.blocks, block_ids and block_of,
+check_formula and dominant_preference call it, so every entry that takes
+a voter refuses a bad one before it judges anything.
 """
 
 
@@ -76,7 +82,7 @@ class FormulaSyntaxError(EpivoteError):
 
 
 class UnknownVoter(EpivoteError):
-    """A voter number outside 1..n, in a formula or in a model query."""
+    """A voter that is not an int in 1..n, in a formula or in a query."""
 
 
 class UnknownCandidate(EpivoteError):

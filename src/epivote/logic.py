@@ -59,6 +59,7 @@ from .model import (
     Profile,
     ProfileModel,
     Voter,
+    check_voter,
     own_preference_violations,
     ranks_every_candidate,
     validate_structure,
@@ -487,19 +488,19 @@ def check_formula(phi: Formula, e: Election) -> None:
         if t is not Not and t is not And:
             match phi:
                 case PrefAtom(voter=i, order=r):
-                    _need_voter(i, e)
+                    check_voter(i, e.num_voters)
                     if not ranks_every_candidate(r.order, e.candidates):
                         raise IncompleteProfileAtom(
                             f"pref atom ranking {r.as_text()} incomplete"
                         )
                 case CompAtom(voter=i, better=a, worse=b):
-                    _need_voter(i, e)
+                    check_voter(i, e.num_voters)
                     _need_candidate(a, e)
                     _need_candidate(b, e)
                 case WinsAtom(candidate=c):
                     _need_candidate(c, e)
                 case Know(voter=i):
-                    _need_voter(i, e)
+                    check_voter(i, e.num_voters)
                 case Top() | Announce():
                     pass
                 case _:
@@ -507,11 +508,6 @@ def check_formula(phi: Formula, e: Election) -> None:
         if (kids := _children(phi)) and id(phi) not in seen:
             seen.add(id(phi))
             stack += kids[::-1]
-
-
-def _need_voter(i: Voter, e: Election):
-    if i not in e.voters:
-        raise UnknownVoter(f"no voter {i}")
 
 
 def _need_candidate(c: Candidate, e: Election):
@@ -567,7 +563,8 @@ def _eval(
     block) and the live set after an announcement per (live set, announced
     formula). Keys are object ids, since hashing a formula walks all of it;
     every live set but the caller's is a memo value, so no id is reused
-    during the call.
+    during the call. phi has passed check_formula, so an atom reads its
+    voter's ballot without a check.
     """
     # most nodes a check visits are connectives and profile atoms (every
     # disjunction is ~(~a & ~b)); an exact type test finds them faster
@@ -582,9 +579,9 @@ def _eval(
         return m.profile_at(s) == phi.profile
     match phi:
         case PrefAtom(voter=i, order=r):
-            return m.profile_at(s).pref(i) == r
+            return m.profile_at(s).prefs[i - 1] == r
         case CompAtom(voter=i, better=a, worse=b):
-            return a != b and m.profile_at(s).pref(i).prefers(a, b)
+            return a != b and m.profile_at(s).prefs[i - 1].prefers(a, b)
         case WinsAtom(candidate=c):
             if F is None:
                 raise MissingTiebreak("winner atoms need a voting rule")

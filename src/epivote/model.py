@@ -49,6 +49,17 @@ def check_size(total: int, what: str) -> None:
         raise SizeLimit(f"{total} {what} exceed the cap of {SIZE_CAP}")
 
 
+def check_voter(voter, n: int) -> None:
+    """Raise UnknownVoter unless voter is an int (not a bool) in 1..n.
+
+    The one voter rule: Profile, ProfileModel, check_formula and
+    dominant_preference take their voters through it, so the work behind
+    them may index ``prefs[voter - 1]`` without a check of its own.
+    """
+    if type(voter) is not int or not 1 <= voter <= n:
+        raise UnknownVoter(f"no voter {voter!r} in 1..{n}")
+
+
 def check_candidate_names(candidates) -> None:
     """Raise ValueError for the first name that is not a formula identifier
     or is a reserved word of the formula language."""
@@ -146,22 +157,14 @@ class Profile:
     prefs: tuple[Preference, ...]
 
     def pref(self, voter: Voter) -> Preference:
-        """Voter's ballot; UnknownVoter outside 1..len(prefs)."""
-        if voter < 1:
-            raise self._unknown(voter)
-        try:
-            return self.prefs[voter - 1]
-        except IndexError:
-            raise self._unknown(voter) from None
+        """Voter's ballot; UnknownVoter outside 1..len(prefs) (check_voter)."""
+        check_voter(voter, len(self.prefs))
+        return self.prefs[voter - 1]
 
     def replace(self, voter: Voter, p: Preference) -> "Profile":
         """The profile with voter's ballot swapped for p."""
-        if not 1 <= voter <= len(self.prefs):
-            raise self._unknown(voter)
+        check_voter(voter, len(self.prefs))
         return Profile(self.prefs[:voter - 1] + (p,) + self.prefs[voter:])
-
-    def _unknown(self, voter) -> UnknownVoter:
-        return UnknownVoter(f"no voter {voter} in 1..{len(self.prefs)}")
 
     def tops(self) -> tuple[Candidate, ...]:
         return tuple([p.order[0] for p in self.prefs])
@@ -189,8 +192,7 @@ class ProfileModel:
     Every state lookup reads one index, built on first use and not part of
     equality: a state -> position dict, and per voter a tuple aligned with
     ``states`` holding the number of the block that contains each state.
-    The per-voter tables are keyed by voter number, so a voter outside 1..n
-    raises UnknownVoter.
+    The per-voter reads take their voter through check_voter.
     ``block_ids(i)[k]`` is the position in ``blocks(i)`` of the block holding
     ``states[k]``, or -1 when no block covers it. Only models that
     ``validate_model`` rejects have -1 entries or overlapping blocks (where
@@ -212,21 +214,17 @@ class ProfileModel:
         return pos
 
     @cached_property
-    def _blocks(self) -> dict[Voter, tuple[InformationSet, ...]]:
-        return dict(zip(self.election.voters, self.partitions))
-
-    @cached_property
-    def _block_ids(self) -> dict[Voter, tuple[int, ...]]:
+    def _block_ids(self) -> tuple[tuple[int, ...], ...]:
         pos = self._positions
-        table = {}
-        for voter, blocks in self._blocks.items():
+        table = []
+        for blocks in self.partitions:
             row = [-1] * len(self.states)
             for k, block in enumerate(blocks):
                 for s in block:
                     if s in pos and row[pos[s]] < 0:
                         row[pos[s]] = k
-            table[voter] = tuple(row)
-        return table
+            table.append(tuple(row))
+        return tuple(table)
 
     def index(self, state: str) -> int:
         try:
@@ -238,40 +236,34 @@ class ProfileModel:
         return self.profiles[self.index(state)]
 
     def blocks(self, voter: Voter) -> tuple[InformationSet, ...]:
-        try:
-            return self._blocks[voter]
-        except KeyError:
-            raise self._unknown(voter) from None
+        check_voter(voter, self.election.num_voters)
+        return self.partitions[voter - 1]
 
     def block_ids(self, voter: Voter) -> tuple[int, ...]:
         """Per state (in ``states`` order), voter's block number or -1."""
-        try:
-            return self._block_ids[voter]
-        except KeyError:
-            raise self._unknown(voter) from None
+        check_voter(voter, self.election.num_voters)
+        return self._block_ids[voter - 1]
 
     def block_ids_at(self, si: int) -> tuple[int, ...]:
         """Each voter's block number at the si-th state, voters ascending.
 
         Raises PartitionError when some voter's partition does not cover it.
         """
-        ks = tuple(self.block_ids(i)[si] for i in self.election.voters)
+        ks = tuple([row[si] for row in self._block_ids])
         if -1 in ks:
             raise self._uncovered(ks.index(-1) + 1, self.states[si])
         return ks
-
-    def _unknown(self, voter) -> UnknownVoter:
-        return UnknownVoter(f"no voter {voter} in 1..{self.election.num_voters}")
 
     def _uncovered(self, voter, state) -> PartitionError:
         return PartitionError(
             f"voter {voter}'s partition does not cover state {state!r}")
 
     def block_of(self, voter: Voter, state: str) -> InformationSet:
-        k = self.block_ids(voter)[self.index(state)]
+        check_voter(voter, self.election.num_voters)
+        k = self._block_ids[voter - 1][self.index(state)]
         if k < 0:
             raise self._uncovered(voter, state)
-        return self.blocks(voter)[k]
+        return self.partitions[voter - 1][k]
 
     def profiles_of(self, block: InformationSet) -> list[Profile]:
         """Distinct profiles labelling the block's states, first-seen order."""
@@ -508,7 +500,7 @@ def hypercube(
     for voter in election.voters:
         groups: dict[Preference, list[str]] = {}
         for s, p in zip(states, profiles):
-            groups.setdefault(p.pref(voter), []).append(s)
+            groups.setdefault(p.prefs[voter - 1], []).append(s)
         partitions[voter] = list(groups.values())
     return make_model(
         election, states, dict(zip(states, profiles)),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Protocol, runtime_checkable
 
-from .errors import MissingTiebreak, UnknownVoter
+from .errors import MissingTiebreak
 from .model import (
     Candidate,
     Election,
@@ -25,6 +25,7 @@ from .model import (
     Voter,
     check_ranking,
     check_size,
+    check_voter,
 )
 
 
@@ -51,11 +52,9 @@ def plurality_winner(
     """Most top-choice votes; ties go to the tiebreak-highest candidate.
 
     The hot path, unguarded: it takes checked ballots and tiebreak, each
-    ranking e's candidates once (see model.check_ranking), and one call
-    into the cached core reads the tops.
+    ranking e's candidates once (see model.check_ranking).
     """
-    return _plurality_from_tops(
-        e.candidates, tuple([b.order[0] for b in votes.prefs]), tiebreak.order)
+    return Plurality(tiebreak).winner(e, votes)
 
 
 @lru_cache(maxsize=200_000)
@@ -82,7 +81,7 @@ class Plurality:
 
     def winner(self, e: Election, votes: Profile) -> Candidate:
         """plurality_winner under this tiebreak, in one call to the cached
-        core; like it, it takes checked ballots."""
+        core that reads the tops; it takes checked ballots."""
         return _plurality_from_tops(
             e.candidates, tuple([b.order[0] for b in votes.prefs]),
             self.tiebreak.order)
@@ -138,9 +137,11 @@ def _check_profile(e: Election, p: Profile) -> None:
 def _deviation_rows(e: Election, F: VotingRule, i: Voter, profiles, ballots):
     """The deviation table every manipulation notion reads: per profile,
     lazily and in order, its sincere winner and the list of winners when
-    voter i casts each of ballots instead."""
+    voter i casts each of ballots instead. Its callers check i first."""
     for p in profiles:
-        yield F.winner(e, p), [F.winner(e, p.replace(i, b)) for b in ballots]
+        head, tail = p.prefs[:i - 1], p.prefs[i:]
+        yield F.winner(e, p), [F.winner(e, Profile(head + (b,) + tail))
+                               for b in ballots]
 
 
 def dominant_preference(
@@ -158,8 +159,7 @@ def dominant_preference(
     better than voting truth. ValueError when truth or alt does not rank
     e's candidates once.
     """
-    if i not in e.voters:
-        raise UnknownVoter(f"no voter {i} in 1..{e.num_voters}")
+    check_voter(i, e.num_voters)
     check_ranking(truth, e.candidates, "truth")
     check_ranking(alt, e.candidates, "alt")
     check_size(ballot_count(e, False) ** e.num_voters, "profiles")

@@ -82,12 +82,13 @@ def _knows(i: Voter, considered: list[Profile], rows, alts, mode: str):
     """knows_manipulation on rows aligned with the considered profiles.
 
     rows may be lazy: a row is drawn only for a profile visited before an
-    early exit. Each row is judged by that profile's own ranking of i.
+    early exit. Each row is judged by that profile's own ranking of i,
+    whom _considered has checked.
     """
     if mode == "de_dicto":
         witnesses: dict[Profile, tuple[Preference, ...]] = {}
         for p, (won, winners) in zip(considered, rows):
-            truth = p.pref(i)
+            truth = p.prefs[i - 1]
             working = tuple(alt for alt, w in zip(alts, winners)
                             if truth.prefers(w, won))
             if not working:
@@ -96,7 +97,7 @@ def _knows(i: Voter, considered: list[Profile], rows, alts, mode: str):
         return True, witnesses
     live = range(len(alts))
     for p, (won, winners) in zip(considered, rows):
-        truth = p.pref(i)
+        truth = p.prefs[i - 1]
         live = [k for k in live if truth.prefers(winners[k], won)]
         if not live:
             break

@@ -1,11 +1,15 @@
 """The error contract of errors.py at every public entry point.
 
 A public name of ``epivote.__all__`` that takes a ballot, a profile, a
-voter, a state or a conditional profile raises EpivoteError or ValueError
-for a bad one, never KeyError, IndexError or TypeError, and never returns
-a verdict. The two winner functions, ``plurality_winner`` and
-``Plurality.winner``, are the unguarded hot path and are left out, and so
-is ``make_model``'s valuation, which ``validate_model`` checks.
+voter, a state, a conditional profile or a formula raises EpivoteError or
+ValueError for a bad one, never KeyError, IndexError or TypeError, and
+never returns a verdict. A bad voter is an int outside 1..n or no int at
+all (``2.5``, ``2.0``, ``"1"``, ``None``, ``True``); a bad formula names
+a voter like that, a candidate of another election, or holds a profile
+atom with one ballot too many. The two winner functions,
+``plurality_winner`` and ``Plurality.winner``, are the unguarded hot path
+and are left out, and so is ``make_model``'s valuation, which
+``validate_model`` checks.
 """
 
 import random
@@ -15,18 +19,27 @@ from hypothesis import given, settings, strategies as st
 from conftest import pointed_models
 from epivote import (
     TRUE,
+    CompAtom,
     EpivoteError,
+    Know,
     KnowledgeProfile,
     Plurality,
+    PrefAtom,
     Preference,
     Profile,
+    ProfileAtom,
     VirtualVoter,
+    WinsAtom,
+    build_concept_formula,
+    check_formula,
     check_preservation,
     classify,
     conditional_profile,
+    denotation,
     dominant_manipulation_of_infoset,
     dominant_preference,
     enumerate_equilibria,
+    evaluate,
     hypercube,
     induced_votes,
     induced_winners,
@@ -82,6 +95,23 @@ def bad_profiles(draw, e, p):
 
 
 @st.composite
+def bad_formulas(draw, e, actual, voter):
+    """A formula of another election: one naming the bad voter, a foreign
+    candidate, or a profile with n + 1 ballots."""
+    a, b = e.candidates[:2]
+    kind = draw(st.sampled_from(("K", "pref", "comparison", "wins", "profile")))
+    if kind == "K":
+        return Know(voter, TRUE)
+    if kind == "pref":
+        return PrefAtom(voter, e.orders()[0])
+    if kind == "comparison":
+        return CompAtom(voter, a, b)
+    if kind == "wins":
+        return WinsAtom("zz")
+    return ProfileAtom(Profile(actual.prefs + actual.prefs[:1]))
+
+
+@st.composite
 def bad_conditional_profiles(draw, e, cp):
     kind = draw(st.sampled_from(("rows-", "rows+", "row-", "row+", "ballot")))
     if kind == "rows-":
@@ -107,7 +137,16 @@ def calls_on(m, data):
     vv = virtual_voters(m)[0]
     b = data.draw(bad_ballots(e.candidates), "ballot")
     p = data.draw(bad_profiles(e, actual), "profile")
-    v = data.draw(st.sampled_from((0, -1, e.num_voters + 1, 99)), "voter")
+    n = e.num_voters
+    v = data.draw(st.sampled_from(
+        (0, -1, n + 1, 99, 2.5, float(n), "1", None, True)), "voter")
+    phi = data.draw(bad_formulas(e, actual, v), "formula")
+    concept, args = data.draw(st.sampled_from((
+        ("manipulation_with", {"p": actual, "alt": good}),
+        ("has_manipulation", {"p": actual}),
+        ("dominant_manipulation", {"alt": good}),
+        ("knows_de_dicto", {}),
+        ("knows_de_re", {}))), "concept formula")
     s = data.draw(st.sampled_from(("zz", "s9", "")), "state")
     c = data.draw(bad_conditional_profiles(e, cp), "conditional profile")
     choices = {i: {block: ballot for block, ballot in zip(m.blocks(i), row)}
@@ -149,6 +188,17 @@ def calls_on(m, data):
         ("check_preservation voter",
          lambda: check_preservation(m, F, TRUE, "knowledge_de_dicto", v)),
         ("payoff voter", lambda: payoff(m, F, cp, VirtualVoter(v, vv.infoset))),
+        ("worst_winner voter",
+         lambda: worst_winner(m, F, cp, VirtualVoter(v, vv.infoset))),
+        ("Profile.pref voter", lambda: actual.pref(v)),
+        ("Profile.replace voter", lambda: actual.replace(v, good)),
+        ("ProfileModel.blocks voter", lambda: m.blocks(v)),
+        ("build_concept_formula voter",
+         lambda: build_concept_formula(concept, e=e, F=F, i=v, **args)),
+        ("check_formula", lambda: check_formula(phi, e)),
+        ("denotation", lambda: denotation(m, F, phi)),
+        ("evaluate", lambda: evaluate(kp, F, phi)),
+        ("update formula", lambda: update(m, phi, F)),
         ("KnowledgeProfile", lambda: KnowledgeProfile(m, s)),
         ("induced_votes state", lambda: induced_votes(m, cp, s)),
         ("restrict", lambda: restrict(m, [s])),

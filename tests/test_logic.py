@@ -105,6 +105,29 @@ def test_round_trip_random_formulas(seed):
     assert parse(to_text(phi), E2) == phi
 
 
+VOTER_VALUES = (1, 2, 0, -1, 3, 2.5, 2.0, 1.0, True, False, "1", None)
+
+
+@settings(derandomize=True, deadline=None)
+@given(voter=st.sampled_from(VOTER_VALUES),
+       atom=st.sampled_from(("K", "pref", "comparison")),
+       order=st.sampled_from(E2.orders()),
+       sub=st.integers(0, 10**9))
+def test_every_checked_voter_prints_back(voter, atom, order, sub):
+    # True and 2.0 once passed check_formula and printed as KTrue, K2.0
+    if atom == "K":
+        phi = Know(voter, random_formula(random.Random(sub), E2, depth=1))
+    elif atom == "pref":
+        phi = PrefAtom(voter, order)
+    else:
+        phi = CompAtom(voter, order.order[0], order.order[1])
+    try:
+        check_formula(phi, E2)
+    except UnknownVoter:
+        return
+    assert parse(to_text(phi), E2) == phi
+
+
 @pytest.mark.parametrize("src", [
     "",
     "&",

@@ -666,13 +666,13 @@ def old_check_formula(phi, e):
                         f"profile atom ranking {r.as_text()} incomplete"
                     )
         case PrefAtom(voter=i, order=r):
-            logic._need_voter(i, e)
+            model.check_voter(i, e.num_voters)
             if not model.ranks_every_candidate(r.order, e.candidates):
                 raise IncompleteProfileAtom(
                     f"pref atom ranking {r.as_text()} incomplete"
                 )
         case CompAtom(voter=i, better=a, worse=b):
-            logic._need_voter(i, e)
+            model.check_voter(i, e.num_voters)
             logic._need_candidate(a, e)
             logic._need_candidate(b, e)
         case WinsAtom(candidate=c):
@@ -685,7 +685,7 @@ def old_check_formula(phi, e):
             old_check_formula(l, e)
             old_check_formula(r, e)
         case Know(voter=i, sub=sub):
-            logic._need_voter(i, e)
+            model.check_voter(i, e.num_voters)
             old_check_formula(sub, e)
         case Announce(announced=a, sub=sub):
             old_check_formula(a, e)
