@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from functools import reduce
 from operator import itemgetter
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .model import (
     Candidate,
@@ -171,15 +171,17 @@ class _Game:
     Ballots sit in slots, one per virtual voter in virtual_voters order, so
     slot order is the flattened conditional profile; voter i's slots run
     from bounds[i-1] to bounds[i]. ``classes`` are F's ballot classes over
-    e.orders() (see ballot_classes). ``players`` holds one _Player per
-    virtual voter in slot order. ``outcomes`` is the one outcome memo,
-    keyed by the tuple of slot keys.
+    e.orders() (see ballot_classes), ``place`` their positions by key.
+    ``players`` holds one _Player per virtual voter in slot order.
+    ``outcomes`` is the one outcome memo, keyed by the tuple of slot keys,
+    and ``responses`` that of _first_improvement's response tables.
     """
 
     def __init__(self, m: ProfileModel, F: VotingRule):
         e = m.election
         self.m, self.key = m, _key_of(F)
         self.classes = ballot_classes(F, e.orders())
+        self.place = {k: j for j, (k, _) in enumerate(self.classes)}
         self.bounds = list(itertools.accumulate(
             (len(m.blocks(i)) for i in e.voters), initial=0))
         # per state in file order, the slot of each voter's ballot there;
@@ -196,6 +198,7 @@ class _Game:
                     {c: truth.rank_value(c) for c in truth.order},
                     states, tuple(self.at[si] for si in states)))
         self.outcomes: dict[tuple, tuple[str, str]] = {}
+        self.responses: dict[int, tuple[list, dict]] = {}
         first, memo = dict(self.classes), {}
 
         def winner(keys: tuple) -> Candidate:
@@ -249,28 +252,41 @@ def _first_improvement(game: _Game, p: _Player, keys) -> Preference | None:
     """The first ballot in e.orders() that raises p's worst-case rank, or None.
 
     ``keys`` holds the ballot key of each slot and is read only at p's own
-    slot and at the slots in p.rows. Ballots with equal keys yield the same
-    winners, so one ballot per class of game.classes is tried, skipping the
-    class of her own ballot, whose ballots change nothing. A class's first
-    ballot comes before its others, so the ballot returned is the first
-    improving one in e.orders(). A change of p's ballot only shifts winners
-    at states inside her block, so only those are recomputed.
+    slot and at the slots in p.rows. Her options are the classes of
+    game.classes (equal keys, equal winners). At each state of her block,
+    her response table holds her rank of the winner under each class; it
+    is built on first use and memoised for the call on the other voters'
+    keys there. The element-wise minimum of her block's tables is her
+    payoff per class; the first class paying more than her own ballot's
+    gives its first ballot, the first improving one in e.orders().
     """
-    rank, vi, winner = p.rank, p.voter - 1, game.winner
-    base = [tuple(map(keys.__getitem__, row)) for row in p.rows]
-    here = min(rank[winner(ks)] for ks in base)
-    if here == len(rank) - 1:
-        return None  # already gets her top everywhere, nothing beats it
-    own = keys[p.slot]
-    for k, alt in game.classes:
-        if k == own:
-            continue
-        for ks in base:
-            if rank[winner(ks[:vi] + (k,) + ks[vi + 1:])] <= here:
-                break
-        else:
-            return alt
+    got = game.responses.get(p.slot)
+    if got is None:
+        got = game.responses[p.slot] = (
+            [_keys_at(row[:p.voter - 1] + row[p.voter:]) for row in p.rows], {})
+    others, memo = got
+    tables = []
+    for keys_around in others:
+        around = keys_around(keys)
+        table = memo.get(around)
+        if table is None:
+            head, tail = around[:p.voter - 1], around[p.voter - 1:]
+            table = memo[around] = tuple(p.rank[game.winner(head + (k,) + tail)]
+                                         for k, _ in game.classes)
+        tables.append(table)
+    pays = tables[0] if len(tables) == 1 else tuple(map(min, *tables))
+    here = pays[game.place[keys[p.slot]]]
+    for j, paid in enumerate(pays):
+        if paid > here:
+            return game.classes[j][1]
     return None
+
+
+def _keys_at(slots: tuple[int, ...]):
+    """keys -> the tuple of keys at slots; itemgetter alone returns a bare
+    key for one slot and refuses none."""
+    return itemgetter(*slots) if len(slots) > 1 else (
+        lambda keys: tuple(keys[s] for s in slots))
 
 
 def is_conditional_equilibrium(
@@ -306,43 +322,55 @@ def enumerate_conditional_equilibria(
     space = ballot_space(m.election, by_top)
     game = _Game(m, F)
     voters = [slice(a, b) for a, b in zip(game.bounds, game.bounds[1:])]
+    rows: dict[tuple[int, ...], tuple[Preference, ...]] = {}  # by voter positions
     out = []
     for pos in _search(game, space):
-        flat = tuple(map(space.__getitem__, pos))
-        out.append(tuple(map(flat.__getitem__, voters)))
+        cp = []
+        for at in voters:
+            row = rows.get(pos[at])
+            if row is None:
+                row = rows[pos[at]] = tuple(map(space.__getitem__, pos[at]))
+            cp.append(row)
+        out.append(tuple(cp))
     return out
 
 
-def _search(game: _Game, space: list[Preference]) -> Iterator[tuple[int, ...]]:
+def _search(game: _Game, space: list[Preference]) -> list[tuple[int, ...]]:
     """Each equilibrium of game over the ballots of space, as the position in
     space of the ballot in every slot, in itertools.product order.
 
-    Depth-first over slots, trying ballots in space order. A virtual voter's
-    payoff reads only the ballots of the blocks that meet her own block (her
-    scope), so she is checked once the last slot of her scope is assigned,
-    and the branch is cut if she has an improving ballot. Her verdict is
-    memoised on the ballot keys of her scope for the length of the search.
+    Depth-first over slots taken state by state (each state's slots in file
+    order, each when first met), trying ballots in space order. A virtual
+    voter's payoff reads only the ballots of the blocks that meet her own
+    block (her scope), so she is checked once her scope is assigned (after
+    n slots if her block is one state), and the branch is cut if she has
+    an improving ballot. Her verdict is memoised on the ballot keys of her
+    scope for the length of the search. The equilibria are sorted back.
     """
     n = game.bounds[-1]
+    order = list(dict.fromkeys(s for slots in game.at for s in slots))
+    depth = {s: d for d, s in enumerate(order)}
     due: list[list[tuple[_Player, itemgetter, dict]]] = [[] for _ in range(n)]
     for p in game.players:
         scope = sorted({p.slot}.union(*p.rows))
-        due[scope[-1]].append((p, itemgetter(*scope), {}))
+        due[max(map(depth.__getitem__, scope))].append((p, itemgetter(*scope), {}))
     space_keys = [game.key(b) for b in space]
     keys: list = [None] * n
     pos = [-1] * n  # per slot, the position in space of the ballot there
     last = len(space) - 1
-    d = 0  # slots before d are assigned and every player due by then is stable
+    found = []
+    d = 0  # slots order[:d] are assigned and every player due by then is stable
     while d >= 0:
         if d == n:
-            yield tuple(pos)
+            found.append(tuple(pos))
             d -= 1
-        elif pos[d] == last:
-            pos[d] = -1
+        elif pos[order[d]] == last:
+            pos[order[d]] = -1
             d -= 1
         else:
-            pos[d] += 1
-            keys[d] = space_keys[pos[d]]
+            s = order[d]
+            pos[s] += 1
+            keys[s] = space_keys[pos[s]]
             for p, scope_of, memo in due[d]:
                 scope_keys = scope_of(keys)
                 stable = memo.get(scope_keys)
@@ -354,6 +382,8 @@ def _search(game: _Game, space: list[Preference]) -> Iterator[tuple[int, ...]]:
                     break
             else:
                 d += 1
+    found.sort()
+    return found
 
 
 def _one_state(e: Election, truth: Profile) -> ProfileModel:

@@ -622,8 +622,10 @@ def expand_abbreviations(
     (m!)^n profiles, so the result uses profile atoms, negation, conjunction,
     K, and announcement only. Semantically equivalent on every model of the
     election, and exponentially larger; exists to pin the derived atoms to
-    their definitions, not for regular use.
+    their definitions, not for regular use. A formula of another election
+    raises as check_formula does.
     """
+    check_formula(phi, e)
     profiles = e.all_profiles()
 
     def dis(selected) -> Formula:

@@ -192,7 +192,9 @@ class ProfileModel:
     Every state lookup reads one index, built on first use and not part of
     equality: a state -> position dict, and per voter a tuple aligned with
     ``states`` holding the number of the block that contains each state.
-    The per-voter reads take their voter through check_voter.
+    The per-voter reads take their voter through check_voter. A model with
+    fewer partitions than voters raises PartitionError from ``blocks`` of a
+    voter without one and from every read of the index, which needs them all.
     ``block_ids(i)[k]`` is the position in ``blocks(i)`` of the block holding
     ``states[k]``, or -1 when no block covers it. Only models that
     ``validate_model`` rejects have -1 entries or overlapping blocks (where
@@ -215,6 +217,8 @@ class ProfileModel:
 
     @cached_property
     def _block_ids(self) -> tuple[tuple[int, ...], ...]:
+        if len(self.partitions) < self.election.num_voters:
+            raise PartitionError("need one partition per voter")
         pos = self._positions
         table = []
         for blocks in self.partitions:
@@ -237,6 +241,8 @@ class ProfileModel:
 
     def blocks(self, voter: Voter) -> tuple[InformationSet, ...]:
         check_voter(voter, self.election.num_voters)
+        if voter > len(self.partitions):
+            raise PartitionError("need one partition per voter")
         return self.partitions[voter - 1]
 
     def block_ids(self, voter: Voter) -> tuple[int, ...]:

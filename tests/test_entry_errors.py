@@ -40,6 +40,7 @@ from epivote import (
     dominant_preference,
     enumerate_equilibria,
     evaluate,
+    expand_abbreviations,
     hypercube,
     induced_votes,
     induced_winners,
@@ -196,6 +197,7 @@ def calls_on(m, data):
         ("build_concept_formula voter",
          lambda: build_concept_formula(concept, e=e, F=F, i=v, **args)),
         ("check_formula", lambda: check_formula(phi, e)),
+        ("expand_abbreviations", lambda: expand_abbreviations(phi, e, F)),
         ("denotation", lambda: denotation(m, F, phi)),
         ("evaluate", lambda: evaluate(kp, F, phi)),
         ("update formula", lambda: update(m, phi, F)),

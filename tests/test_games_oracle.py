@@ -6,23 +6,40 @@ replaced: for each virtual voter, every one of the m! ballots in
 ``e.orders()`` order, a new Profile per deviation and a call of F.winner.
 ``winners_string`` and ``payoff_string`` are the per-profile references for
 the grid's cells and ``outcome_strings``. Models come from the ``pointed_models`` strategy in conftest.
+
+``old_first_improvement`` and ``old_search`` are the engine's search before
+its response tables and its state-by-state slot order: a class scan at
+every check and slots in slot order. The new search must list the same
+positions in the same order, and give the same witnesses and stars, on
+seeded three-voter, three-state games of the benchmark's by-top shapes, on
+the fixtures with full ballots, and under the keyless Veto.
 """
 
 import itertools
+import random
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import reduce
+from operator import itemgetter
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import pointed_models
 from epivote import (
+    Election,
     Plurality,
     Preference,
+    Profile,
     enumerate_conditional_equilibria,
+    enumerate_equilibria,
     induced_votes,
     is_conditional_equilibrium,
+    is_equilibrium_profile,
+    make_model,
     payoff_matrix,
+    pref,
     validate_model,
     virtual_voters,
 )
@@ -81,6 +98,72 @@ def oracle_verdict(m, F, cp):
         if alt is not None:
             return False, (vv, alt)
     return True, None
+
+
+def old_first_improvement(game, p, keys):
+    """The first ballot in e.orders() that raises p's worst-case rank, or None.
+
+    The engine's per-node class scan before its response tables: one ballot
+    per class of game.classes, skipping the class of her own ballot, each
+    judged at the states of her block until one state does not improve.
+    """
+    rank, vi, winner = p.rank, p.voter - 1, game.winner
+    base = [tuple(map(keys.__getitem__, row)) for row in p.rows]
+    here = min(rank[winner(ks)] for ks in base)
+    if here == len(rank) - 1:
+        return None  # already gets her top everywhere, nothing beats it
+    own = keys[p.slot]
+    for k, alt in game.classes:
+        if k == own:
+            continue
+        for ks in base:
+            if rank[winner(ks[:vi] + (k,) + ks[vi + 1:])] <= here:
+                break
+        else:
+            return alt
+    return None
+
+
+def old_search(game, space):
+    """Each equilibrium of game over the ballots of space, as the position in
+    space of the ballot in every slot, in itertools.product order.
+
+    The engine's search before it took slots state by state: depth first
+    over slots in slot order, each player checked with old_first_improvement
+    once the last slot of her scope is assigned, her verdict memoised on
+    the ballot keys of her scope.
+    """
+    n = game.bounds[-1]
+    due = [[] for _ in range(n)]
+    for p in game.players:
+        scope = sorted({p.slot}.union(*p.rows))
+        due[scope[-1]].append((p, itemgetter(*scope), {}))
+    space_keys = [game.key(b) for b in space]
+    keys = [None] * n
+    pos = [-1] * n
+    last = len(space) - 1
+    d = 0
+    while d >= 0:
+        if d == n:
+            yield tuple(pos)
+            d -= 1
+        elif pos[d] == last:
+            pos[d] = -1
+            d -= 1
+        else:
+            pos[d] += 1
+            keys[d] = space_keys[pos[d]]
+            for p, scope_of, memo in due[d]:
+                scope_keys = scope_of(keys)
+                stable = memo.get(scope_keys)
+                if stable is None:
+                    stable = memo[scope_keys] = (
+                        old_first_improvement(game, p, keys) is None
+                    )
+                if not stable:
+                    break
+            else:
+                d += 1
 
 
 def strategies(m, space):
@@ -232,3 +315,133 @@ def test_keyless_grid_computes_every_cell(mutual_doubt):
     with built_games() as built:
         payoff_matrix(mutual_doubt, Veto(mutual_doubt.tiebreak), False)
     assert built[0].outcomes.stores == 36 * 36
+
+
+# ------------------------------------------------ the search before its tables
+
+def old_verdict(m, F, cp):
+    """is_conditional_equilibrium through old_first_improvement."""
+    game = games._Game(m, F)
+    keys = game.keys_of(cp)
+    for p in game.players:
+        alt = old_first_improvement(game, p, keys)
+        if alt is not None:
+            return False, (VirtualVoter(p.voter, p.block), alt)
+    return True, None
+
+
+def three_by_three(rng, k):
+    """A seeded 3-voter, 3-state model with k blocks in all (by-top product
+    3^k), as the benchmark draws them: each voter cuts the shuffled states
+    into 1-3 blocks and casts one drawn order per block."""
+    e = Election(("a", "b", "c"), 3)
+    states = ("s", "t", "u")
+    counts = rng.choice([c for c in itertools.product((1, 2, 3), repeat=3)
+                         if sum(c) == k])
+    partitions, prefs = {}, {}
+    for i, count in zip(e.voters, counts):
+        order = rng.sample(states, 3)
+        cuts = [0] + sorted(rng.sample((1, 2), count - 1)) + [3]
+        partitions[i] = [order[a:b] for a, b in zip(cuts, cuts[1:])]
+        for block in partitions[i]:
+            ballot = rng.choice(e.orders())
+            prefs.update({(i, s): ballot for s in block})
+    profiles = [Profile(tuple(prefs[i, s] for i in e.voters)) for s in states]
+    return make_model(e, states, profiles, partitions,
+                      tiebreak=rng.choice(e.orders()), point="s")
+
+
+def check_search_against_old(m, F, by_top, rng):
+    """Positions, listings, witnesses and stars of the new search against
+    the old one, on one model, rule and ballot space."""
+    space = ballot_space(m.election, by_top)
+    old = list(old_search(games._Game(m, F), space))
+    assert games._search(games._Game(m, F), space) == old
+    bounds = games._Game(m, F).bounds
+    assert enumerate_conditional_equilibria(m, F, by_top) == [
+        tuple(tuple(space[j] for j in pos[a:b])
+              for a, b in zip(bounds, bounds[1:])) for pos in old]
+    ballots = m.election.orders()
+    for _ in range(8):
+        cp = tuple(tuple(rng.choice(ballots) for _ in m.blocks(i))
+                   for i in m.election.voters)
+        assert is_conditional_equilibrium(m, F, cp) == old_verdict(m, F, cp)
+    if m.election.num_voters == 2:
+        n1 = bounds[1]
+
+        def place(positions):
+            return reduce(lambda v, j: v * len(space) + j, positions, 0)
+
+        rows = len(space) ** n1
+        cols = len(space) ** (bounds[2] - n1)
+        stars = [[False] * cols for _ in range(rows)]
+        for pos in old:
+            stars[place(pos[:n1])][place(pos[n1:])] = True
+        assert payoff_matrix(m, F, by_top).equilibria == tuple(map(tuple, stars))
+
+
+@pytest.mark.parametrize("k", range(4, 9))
+def test_search_matches_the_old_search_on_three_voter_games(k):
+    rng = random.Random(k)
+    for _ in range(8):
+        m = three_by_three(rng, k)
+        validate_model(m)
+        assert sum(len(m.blocks(i)) for i in m.election.voters) == k
+        check_search_against_old(m, Plurality(m.tiebreak), True, rng)
+
+
+@pytest.mark.parametrize("k", range(4, 7))
+def test_keyless_search_matches_the_old_search_on_three_voter_games(k):
+    """Under Veto every ballot is its own class, so each table has a column
+    per ballot of e.orders()."""
+    rng = random.Random(100 + k)
+    for _ in range(4):
+        m = three_by_three(rng, k)
+        check_search_against_old(m, Veto(m.tiebreak), True, rng)
+
+
+def test_full_ballot_search_matches_the_old_search_on_fixtures(
+        all_fixture_models):
+    rng = random.Random(0)
+    for m in all_fixture_models.values():
+        for F in (Plurality(m.tiebreak), Veto(m.tiebreak)):
+            for by_top in (True, False):
+                check_search_against_old(m, F, by_top, rng)
+
+
+# ---------------------------------------------------------- one-voter games
+
+ONE_VOTER = [Election(("a", "b", "c"), 1), Election(("a", "b", "c", "d"), 1)]
+
+
+@pytest.mark.parametrize("e", ONE_VOTER, ids=["3", "4"])
+def test_one_voter_games_match_brute_force(e):
+    """A lone voter is in equilibrium exactly when no ballot elects a
+    candidate she ranks higher; with several states, the full scan decides."""
+    for F in (Plurality(e.orders()[-1]), Veto(e.orders()[-1])):
+        for truth in e.orders():
+            def better(alt, ballot):
+                return truth.rank_value(F.winner(e, Profile((alt,)))) > \
+                    truth.rank_value(F.winner(e, Profile((ballot,))))
+
+            stable = [b for b in e.orders()
+                      if not any(better(alt, b) for alt in e.orders())]
+            for b in e.orders():
+                assert is_equilibrium_profile(
+                    F, e, Profile((b,)), Profile((truth,))) == (b in stable)
+            assert is_equilibrium_profile(F, e, Profile((truth,))) == (
+                truth in stable)
+            for by_top in (True, False):
+                space = ballot_space(e, by_top)
+                assert enumerate_equilibria(F, e, Profile((truth,)), by_top) == [
+                    Profile((b,)) for b in space if b in stable]
+        hers = [pref("a>b>c"), pref("c>b>a")] if len(e.candidates) == 3 else [
+            pref("a>b>c>d"), pref("d>c>b>a")]
+        m = make_model(e, ("s", "t", "u"),
+                       [Profile((hers[0],)), Profile((hers[0],)),
+                        Profile((hers[1],))],
+                       {1: [["s", "t"], ["u"]]}, tiebreak=e.orders()[-1])
+        for by_top in (True, False):
+            space = ballot_space(e, by_top)
+            assert enumerate_conditional_equilibria(m, F, by_top) == \
+                oracle_equilibria(m, F, space)

@@ -258,6 +258,18 @@ def test_expansion_counts():
     assert all(p.pref(1) == pref("a>b>c") for p in set(atoms))
 
 
+def test_expansion_refuses_a_formula_of_another_election():
+    """Foreign atoms used to become the unsatisfiable p & ~p, or a K of an
+    unknown voter, or a bare ValueError."""
+    e = Election(("a", "b", "c"), 2)
+    for phi, error in ((WinsAtom("zz"), UnknownCandidate),
+                       (PrefAtom(1, pref("a>b")), IncompleteProfileAtom),
+                       (Know(7, TRUE), UnknownVoter),
+                       (CompAtom(1, "a", "zz"), UnknownCandidate)):
+        with pytest.raises(error):
+            expand_abbreviations(phi, e, F)
+
+
 def test_winner_atom_expansion_semantics():
     # one voter, two candidates: a wins exactly at the a>b profile
     e1 = Election(("a", "b"), 1)

@@ -695,6 +695,9 @@ def old_check_formula(phi, e):
 
 
 def old_expand_abbreviations(phi, e, F):
+    """The recursive expansion, after old_check_formula: expand_abbreviations
+    refuses a formula of another election as check_formula does."""
+    old_check_formula(phi, e)
     profiles = e.all_profiles()
 
     def dis(selected):

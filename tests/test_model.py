@@ -286,6 +286,27 @@ def test_lookup_on_unvalidated_partitions():
     assert overlapping.block_of(1, "t") == ("s", "t")
 
 
+def test_fewer_partitions_than_voters_raise_partition_error():
+    """Built directly, such a model constructs and validate_model reports
+    it; every per-voter read refuses it with the same PartitionError."""
+    e = Election(("a", "b"), 2)
+    m = model.ProfileModel(e, ("s",), (profile("a>b", "b>a"),), ((("s",),),),
+                           pref("a>b"), "s")
+    rule, cp = Plurality(m.tiebreak), ((pref("a>b"),), (pref("b>a"),))
+    for call in (lambda: validate_model(m),
+                 lambda: m.blocks(2),
+                 lambda: m.block_ids(1),
+                 lambda: m.block_of(1, "s"),
+                 lambda: m.block_ids_at(0),
+                 lambda: classify(m.pointed(), rule, 2),
+                 lambda: induced_votes(m, cp, "s"),
+                 lambda: is_conditional_equilibrium(m, rule, cp),
+                 lambda: enumerate_conditional_equilibria(m, rule)):
+        with pytest.raises(PartitionError, match="^need one partition per voter$"):
+            call()
+    assert m.blocks(1) == (("s",),)
+
+
 @pytest.mark.parametrize("voter", [0, -1, 3, 7])
 def test_voter_outside_the_election_is_unknown(hidden_flip, voter):
     # negative and zero numbers used to index voters from the end
