@@ -332,7 +332,8 @@ def cmd_preserve(args) -> int:
     cp = None
     if args.property in dynamics._PROFILE_PROPERTIES:
         cp = (_parse_conditional_profile(args.profile)
-              if args.profile else games.sincere_conditional_profile(m))
+              if args.profile is not None
+              else games.sincere_conditional_profile(m))
     rep = dynamics.check_preservation(
         m, F, phi, args.property, voter=args.voter, cp=cp)
     record = {

@@ -82,6 +82,11 @@ def update_conditional_profile(
     Raises ValueError for a cp of the wrong shape for m (see games).
     """
     _check_shape(m, cp)
+    return _carried(m, cp, u)
+
+
+def _carried(m: ProfileModel, cp: ConditionalProfile, u: UpdateResult):
+    """update_conditional_profile of a cp known to fit m, unchecked."""
     return tuple(
         tuple(cp[i - 1][m.block_ids(i)[m.index(block[0])]]
               for block in u.model.blocks(i))
@@ -142,19 +147,13 @@ def check_preservation(
     return PreservationReport(property, before[0], after[0], before[1], after[1], upd)
 
 
-def _holds(
-    m: ProfileModel, F, property: str, voter, cp, game: _Game | None = None
-) -> tuple[bool, object]:
-    """Whether the property holds on m, and its witness.
-
-    The profile properties read game, m's game under F, built here when
-    None; a caller checking several profiles on one model passes one game.
-    """
+def _holds(m: ProfileModel, F, property: str, voter, cp) -> tuple[bool, object]:
+    """Whether the property holds on m, and its witness."""
     if property in _PROFILE_PROPERTIES:
         if cp is None:
             raise ValueError(f"property {property!r} needs a conditional profile")
-        eq, blocker = (_Game(m, F) if game is None else game).equilibrium(cp)
-        return (not eq if property == "not_conditional_equilibrium" else eq), blocker
+        game = _Game(m, F)
+        return _profile_holds(property, game, game.keys_of(cp))
     if voter is None:
         raise ValueError(f"property {property!r} needs a voter")
     if m.point is None:
@@ -162,6 +161,13 @@ def _holds(
     kp = m.pointed()
     considered = _considered(kp, voter)
     return _pointed(m.election, F, property, voter, kp.truth().pref(voter), considered)
+
+
+def _profile_holds(property: str, game: _Game, keys) -> tuple[bool, object]:
+    """A conditional-profile property of the profile whose slots hold
+    ballots with these keys in game, and its blocking deviation."""
+    eq, blocker = game.scan(keys)
+    return (not eq if property == "not_conditional_equilibrium" else eq), blocker
 
 
 def _pointed(e, F, property, voter, truth, considered) -> tuple[bool, object]:
@@ -176,14 +182,11 @@ def _pointed(e, F, property, voter, truth, considered) -> tuple[bool, object]:
     return (bool(found), found)
 
 
-def _holds_after(
-    m, upd: UpdateResult, F, property, voter, cp, game: _Game | None = None
-) -> tuple[bool, object]:
-    """_holds on the updated model (game is its game, as for _holds), with
-    cp carried across the update."""
+def _holds_after(m, upd: UpdateResult, F, property, voter, cp) -> tuple[bool, object]:
+    """_holds on the updated model, with cp carried across the update."""
     if property in _PROFILE_PROPERTIES:
         cp = update_conditional_profile(m, cp, upd)
-    return _holds(upd.model, F, property, voter, cp, game)
+    return _holds(upd.model, F, property, voter, cp)
 
 
 # ------------------------------------------------------- seeded random hunts
@@ -310,11 +313,12 @@ def search_counterexample(
     given the seed; with F supplied its tiebreak is used for every model,
     otherwise each model draws its own. The conditional-profile properties
     check every drawn profile on one game per model, and one per updated
-    model. The pointed properties are judged on the draw itself; the kept
-    states are read off the announcement's drawn profiles, and the model and
-    formula are built only for the witness returned. Raises ValueError when
-    budget < 1, max_states < 2 or F's tiebreak does not rank e's candidates,
-    and SizeLimit when max_states exceeds the size cap.
+    model, from its slot keys with no shape check, since each profile was
+    drawn to fit. The pointed properties are judged on the draw itself; the
+    kept states are read off the announcement's drawn profiles, and the
+    model and formula are built only for the witness returned. Raises
+    ValueError when budget < 1, max_states < 2 or F's tiebreak does not rank
+    e's candidates, and SizeLimit when max_states exceeds the size cap.
     """
     if property not in PROPERTIES:
         raise ValueError(f"unknown property {property!r}; choose from {PROPERTIES}")
@@ -347,12 +351,13 @@ def search_counterexample(
             m = _model(*draw)
             game, upd = _Game(m, rule), None
             for cp in [random_conditional_profile(rng, m) for _ in range(12)]:
-                if not _holds(m, rule, property, None, cp, game)[0]:
+                if not _profile_holds(property, game, game.slot_keys(cp))[0]:
                     continue
                 if upd is None:  # built the first time the property holds before
                     upd = _updated(m, tuple(s for s, k in zip(states, keep) if k))
                     after = _Game(upd.model, rule)
-                if not _holds_after(m, upd, rule, property, None, cp, after)[0]:
+                carried = after.slot_keys(_carried(m, cp, upd))
+                if not _profile_holds(property, after, carried)[0]:
                     break
             else:
                 continue

@@ -215,6 +215,10 @@ class _Game:
     def keys_of(self, cp: ConditionalProfile) -> tuple:
         """The ballot key in each slot of cp; ValueError for a wrong shape."""
         _check_shape(self.m, cp)
+        return self.slot_keys(cp)
+
+    def slot_keys(self, cp: ConditionalProfile) -> tuple:
+        """keys_of without the shape check, for a cp known to fit the model."""
         key = self.key
         return tuple(key(b) for row in cp for b in row)
 
@@ -240,7 +244,13 @@ class _Game:
         self, cp: ConditionalProfile
     ) -> tuple[bool, tuple[VirtualVoter, Preference] | None]:
         """is_conditional_equilibrium of cp on this game's model and rule."""
-        keys = self.keys_of(cp)
+        return self.scan(self.keys_of(cp))
+
+    def scan(
+        self, keys: tuple
+    ) -> tuple[bool, tuple[VirtualVoter, Preference] | None]:
+        """equilibrium of the conditional profile whose slots hold ballots
+        with these keys (see keys_of and slot_keys)."""
         for p in self.players:
             alt = _first_improvement(self, p, keys)
             if alt is not None:

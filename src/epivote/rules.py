@@ -137,11 +137,21 @@ def _check_profile(e: Election, p: Profile) -> None:
 def _deviation_rows(e: Election, F: VotingRule, i: Voter, profiles, ballots):
     """The deviation table every manipulation notion reads: per profile,
     lazily and in order, its sincere winner and the list of winners when
-    voter i casts each of ballots instead. Its callers check i first."""
+    voter i casts each of ballots instead. Its callers check i first.
+
+    Ballots of one class of F (see ballot_classes) give one winner, so each
+    row decides one winner per class, on the class's first ballot, and
+    copies it into the column of every ballot of that class through a
+    column-to-class index built once per call: under plurality one winner
+    per top, under a keyless rule one per ballot.
+    """
+    classes, key = ballot_classes(F, ballots), _key_of(F)
+    place = {k: j for j, (k, _) in enumerate(classes)}
+    column = [place[key(b)] for b in ballots]
     for p in profiles:
         head, tail = p.prefs[:i - 1], p.prefs[i:]
-        yield F.winner(e, p), [F.winner(e, Profile(head + (b,) + tail))
-                               for b in ballots]
+        won = [F.winner(e, Profile(head + (b,) + tail)) for _, b in classes]
+        yield F.winner(e, p), [won[j] for j in column]
 
 
 def dominant_preference(

@@ -9,8 +9,11 @@ where deviations are judged against a strategy profile.
 
 Every notion reads one deviation table (rules._deviation_rows): per
 considered profile, its sincere winner and the winner after each ballot she
-could cast instead. The knowledge scans draw its rows one at a time and stop
-early; classify lists them once and shares them across all five notions.
+could cast instead, one column per ballot. The table decides one winner per
+ballot class of the rule and repeats it across the class's columns, so the
+reads here see every ballot and never the classes. The knowledge scans draw
+its rows one at a time and stop early; classify lists them once and shares
+them across all five notions.
 """
 
 from __future__ import annotations

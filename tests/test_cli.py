@@ -416,6 +416,16 @@ def test_preserve_profile_arity_checked(capsys):
     assert "information sets" in err
 
 
+def test_preserve_empty_profile_is_refused(capsys):
+    """An empty --profile is a profile with no ballots, not the sincere one."""
+    code, out, err = run(capsys, "preserve", fixture_path("hidden-flip"),
+                         "--formula", "true",
+                         "--property", "conditional_equilibrium",
+                         "--profile", "")
+    assert code == 2 and out == ""
+    assert err == "error: expected 2 voter rows, got 1\n"
+
+
 @pytest.mark.parametrize("spec", ["a>b>c,x>y>z;c>b>a", "a>b,c>b>a;c>b>a"])
 def test_preserve_profile_ballots_rank_every_candidate(capsys, spec):
     code, _, err = run(capsys, "preserve", fixture_path("hidden-flip"),

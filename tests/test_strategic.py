@@ -16,9 +16,11 @@ from epivote import (
     KnowledgeProfile,
     ManipulationReport,
     Plurality,
+    Profile,
     ProfileModel,
     classify,
     dominant_manipulation_of_infoset,
+    dominant_preference,
     hypercube,
     is_manipulation,
     knows_manipulation,
@@ -471,19 +473,20 @@ def test_classify_matches_the_per_ballot_oracle_on_the_cubes():
 
 
 class CountingRule:
-    """Plurality that counts its winner calls per profile object."""
+    """A rule that counts its winner calls per profile object and keeps
+    every profile it was asked about; it declares the ballot key of the
+    rule it wraps, if that rule has one."""
 
-    name = "plurality"
-
-    def __init__(self, tiebreak):
-        self.rule, self.calls = Plurality(tiebreak), collections.Counter()
+    def __init__(self, rule):
+        self.rule, self.name = rule, rule.name
+        self.calls, self.asked = collections.Counter(), []
+        if hasattr(rule, "ballot_key"):
+            self.ballot_key = rule.ballot_key
 
     def winner(self, e, votes):
         self.calls[id(votes)] += 1
+        self.asked.append(votes)
         return self.rule.winner(e, votes)
-
-    def ballot_key(self, ballot):
-        return self.rule.ballot_key(ballot)
 
 
 def test_classify_computes_each_sincere_winner_once(all_fixture_models):
@@ -497,11 +500,101 @@ def test_classify_computes_each_sincere_winner_once(all_fixture_models):
     for m, s in pointed:
         kp = KnowledgeProfile(m, s)
         for i in m.election.voters:
-            F = CountingRule(m.tiebreak)
+            F = CountingRule(Plurality(m.tiebreak))
             report = classify(kp, F, i)
             considered = m.profiles_of(m.block_of(i, s))
             assert [F.calls[id(p)] for p in considered] == [1] * len(considered)
             assert report == classify(kp, Plurality(m.tiebreak), i)
+
+
+def old_deviation_rows(e, F, i, profiles, ballots):
+    """rules._deviation_rows as it was: per profile, its sincere winner and
+    one winner decided per ballot."""
+    for p in profiles:
+        head, tail = p.prefs[:i - 1], p.prefs[i:]
+        yield F.winner(e, p), [F.winner(e, Profile(head + (b,) + tail))
+                               for b in ballots]
+
+
+def assert_rows_match_the_oracle(m, rules, rng):
+    """Row for row, for every voter's every block, over the ballots in
+    e.orders() order, over a shuffled list with one ballot repeated (so a
+    class's first ballot is not its first in e.orders()) and over one
+    ballot."""
+    e, orders = m.election, m.election.orders()
+    for F in rules:
+        for i in e.voters:
+            for block in m.blocks(i):
+                considered = m.profiles_of(block)
+                shuffled = rng.sample(orders, len(orders)) + [rng.choice(orders)]
+                for ballots in (orders, shuffled, [rng.choice(orders)]):
+                    got = list(_deviation_rows(e, F, i, considered, ballots))
+                    want = list(old_deviation_rows(e, F, i, considered, ballots))
+                    assert got == want, (F.name, i, block)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(m=pointed_models())
+def test_deviation_rows_match_the_per_ballot_oracle_on_small_models(m):
+    assert_rows_match_the_oracle(
+        m, (Plurality(m.tiebreak), Veto(m.tiebreak), Borda(m.tiebreak)),
+        random.Random(3))
+
+
+def test_deviation_rows_match_the_per_ballot_oracle_on_the_cubes():
+    """Every block of the 3x3 and 4x2 cubes, under plurality (one class
+    per top), the keyless veto rule and Borda (one class per ballot)."""
+    rng = random.Random(11)
+    for e, tiebreak in ((Election(("a", "b", "c"), 3), pref("b>a>c")),
+                        (Election(("a", "b", "c", "d"), 2), pref("c>a>d>b"))):
+        cube = hypercube(e, tiebreak=tiebreak)
+        assert_rows_match_the_oracle(
+            cube, (Plurality(tiebreak), Veto(tiebreak), Borda(tiebreak)), rng)
+
+
+def calls_around(F: CountingRule, i) -> collections.Counter:
+    """F's winner calls per tuple of the ballots of every voter but i."""
+    return collections.Counter(p.prefs[:i - 1] + p.prefs[i:] for p in F.asked)
+
+
+def test_each_row_decides_one_winner_per_ballot_class(all_fixture_models):
+    """Each profile a notion visits costs one sincere winner call and one
+    per ballot class: 3 classes on a, b, c and 4 on the 4x2 cube under
+    plurality, m! under veto. Calls are grouped by the other voters'
+    ballots, which tell the considered profiles apart (i's own ballot is
+    the same across her block). The knowledge scans and dominant_preference
+    may stop early, so they visit some of the profiles."""
+    cube = hypercube(Election(("a", "b", "c"), 3), tiebreak=pref("b>a>c"))
+    cube42 = hypercube(Election(("a", "b", "c", "d"), 2), tiebreak=pref("c>a>d>b"))
+    pointed = [(cube, s) for s in cube.states[::43]]
+    pointed += [(cube42, s) for s in cube42.states[::115]]
+    pointed += [(m, s) for m in all_fixture_models.values() for s in m.states]
+    seen = set()
+    for m, s in pointed:
+        e, kp = m.election, KnowledgeProfile(m, s)
+        for rule, classes in ((Plurality(m.tiebreak), len(e.candidates)),
+                              (Veto(m.tiebreak), len(e.orders()))):
+            seen.add((rule.name, classes))
+            for i in e.voters:
+                around = {p.prefs[:i - 1] + p.prefs[i:]: classes + 1
+                          for p in m.profiles_of(m.block_of(i, s))}
+                F = CountingRule(rule)
+                classify(kp, F, i)
+                assert calls_around(F, i) == around
+                for mode in ("de_dicto", "de_re"):
+                    F = CountingRule(rule)
+                    knows_manipulation(kp, F, i, mode)
+                    got = calls_around(F, i)
+                    assert got and got.keys() <= around.keys()
+                    assert set(got.values()) == {classes + 1}
+                F = CountingRule(rule)
+                manipulations(F, e, kp.truth(), i)
+                truth = kp.truth().prefs
+                assert calls_around(F, i) == {truth[:i - 1] + truth[i:]: classes + 1}
+                F = CountingRule(rule)
+                dominant_preference(F, e, i, kp.truth().pref(i), e.orders()[-1])
+                assert set(calls_around(F, i).values()) == {classes + 1}
+    assert seen == {("plurality", 3), ("plurality", 4), ("veto", 6), ("veto", 24)}
 
 
 def test_ballots_that_do_not_rank_the_candidates_are_refused(nested_doubt):
