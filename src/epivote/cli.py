@@ -8,9 +8,11 @@ all-profiles model), reduce (eliminate announcement operators), axioms
 one announcement), hunt (seeded counterexample search).
 
 Exit codes: 0 for a positive verdict (true / preserved / found / plain
-success), 1 for a negative verdict, 2 for any error. --format records emits
-one JSON object per result line instead of prose; field order is fixed so
-golden files diff cleanly.
+success), 1 for a negative verdict, 2 for any error with one "error:" line
+on stderr: a library error, a bad file, running out of memory or stack, or
+an internal error (any other exception, named by its type). --format
+records emits one JSON object per result line instead of prose; field
+order is fixed so golden files diff cleanly.
 
 The argument parser is built once per process, on the first call of main;
 each call parses into a fresh namespace.
@@ -38,7 +40,15 @@ def main(argv=None) -> int:
         return args.run(args)
     except (EpivoteError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+    except RecursionError:
+        print("error: out of stack (recursion too deep)", file=sys.stderr)
+    except Exception as exc:  # a bug: still exit 2, never the 1 of "false"
+        detail = " ".join(str(exc).split())
+        print(f"error: internal error: {type(exc).__name__}: {detail}",
+              file=sys.stderr)
+    return 2
 
 
 @functools.cache

@@ -4,18 +4,22 @@ The library raises two kinds of error. Faults of a model, a formula or a
 size cap derive from EpivoteError. A bad argument value raises the builtin
 ValueError: an Election or Preference that cannot be built, a ballot or
 tiebreak that does not rank the candidates once, a profile without one
-ballot per voter (rules, games), a conditional profile of the wrong shape
-(games, update_conditional_profile) or with a missing choice
-(conditional_profile), a grid of other than two voters (payoff_matrix), an
-unknown mode (knows_manipulation), and an unknown property, a budget or a
-state count out of range (dynamics). The CLI maps both, and OSError, to
-exit code 2 without enumerating causes.
+ballot per voter (rules, games, the concept formulas), a conditional
+profile of the wrong shape (games, update_conditional_profile) or with a
+missing choice (conditional_profile), a grid of other than two voters
+(payoff_matrix), an unknown mode (knows_manipulation), and an unknown
+property, a budget or a state count out of range (dynamics). Each entry
+checks its profile and ballots once per call (rules._check_profile,
+model.check_ranking). The CLI maps both, and OSError, to exit code 2
+without enumerating causes; it maps running out of memory or stack, and
+any other exception, to exit code 2 as well.
 
 A voter is an int, not a bool, in 1..n; anything else raises UnknownVoter
 from model.check_voter, the one voter rule. Profile.pref and
 Profile.replace, ProfileModel.blocks, block_ids and block_of,
-check_formula and dominant_preference call it, so every entry that takes
-a voter refuses a bad one before it judges anything.
+check_formula, dominant_preference and the concept formulas call it, so
+every entry that takes a voter refuses a bad one before it judges
+anything.
 """
 
 

@@ -174,7 +174,7 @@ class _Game:
     e.orders() (see ballot_classes), ``place`` their positions by key.
     ``players`` holds one _Player per virtual voter in slot order.
     ``outcomes`` is the one outcome memo, keyed by the tuple of slot keys,
-    and ``responses`` that of _first_improvement's response tables.
+    and ``responses`` that of _payoffs' response tables.
     """
 
     def __init__(self, m: ProfileModel, F: VotingRule):
@@ -259,16 +259,27 @@ class _Game:
 
 
 def _first_improvement(game: _Game, p: _Player, keys) -> Preference | None:
-    """The first ballot in e.orders() that raises p's worst-case rank, or None.
+    """The first ballot in e.orders() that raises p's worst-case rank, or
+    None: the first ballot of the first class that pays her more than her
+    own ballot's class (see _payoffs)."""
+    pays = _payoffs(game, p, keys)
+    here = pays[game.place[keys[p.slot]]]
+    for j, paid in enumerate(pays):
+        if paid > here:
+            return game.classes[j][1]
+    return None
 
-    ``keys`` holds the ballot key of each slot and is read only at p's own
-    slot and at the slots in p.rows. Her options are the classes of
-    game.classes (equal keys, equal winners). At each state of her block,
-    her response table holds her rank of the winner under each class; it
-    is built on first use and memoised for the call on the other voters'
-    keys there. The element-wise minimum of her block's tables is her
-    payoff per class; the first class paying more than her own ballot's
-    gives its first ballot, the first improving one in e.orders().
+
+def _payoffs(game: _Game, p: _Player, keys) -> tuple[int, ...]:
+    """p's worst-case rank under each class of game.classes, the others
+    casting ballots with these keys: the game's one payoff read.
+
+    ``keys`` holds the ballot key of each slot and is read only at the
+    slots in p.rows other than her own. Her options are the classes (equal
+    keys, equal winners). At each state of her block, her response table
+    holds her rank of the winner under each class; it is built on first
+    use and memoised for the call on the other voters' keys there. The
+    element-wise minimum of her block's tables is her payoff per class.
     """
     got = game.responses.get(p.slot)
     if got is None:
@@ -284,12 +295,7 @@ def _first_improvement(game: _Game, p: _Player, keys) -> Preference | None:
             table = memo[around] = tuple(p.rank[game.winner(head + (k,) + tail)]
                                          for k, _ in game.classes)
         tables.append(table)
-    pays = tables[0] if len(tables) == 1 else tuple(map(min, *tables))
-    here = pays[game.place[keys[p.slot]]]
-    for j, paid in enumerate(pays):
-        if paid > here:
-            return game.classes[j][1]
-    return None
+    return tables[0] if len(tables) == 1 else tuple(map(min, *tables))
 
 
 def _keys_at(slots: tuple[int, ...]):

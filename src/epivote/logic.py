@@ -48,7 +48,7 @@ from .errors import (
     UnknownCandidate,
     UnknownVoter,
 )
-from .games import ConditionalProfile, _Game
+from .games import ConditionalProfile, _Game, _payoffs
 from .model import (
     RESERVED_WORDS,
     Candidate,
@@ -59,12 +59,13 @@ from .model import (
     Profile,
     ProfileModel,
     Voter,
+    check_ranking,
     check_voter,
     own_preference_violations,
     ranks_every_candidate,
     validate_structure,
 )
-from .rules import VotingRule, ballot_classes
+from .rules import VotingRule, _check_profile, _deviation_rows, ballot_classes
 
 
 @dataclass(frozen=True)
@@ -804,12 +805,14 @@ def _group(keys) -> list[int]:
 
 
 # ---------------------------------------------------------- concept formulas
+# The builders decide no winner of their own: the deviation formulas read
+# rules._deviation_rows, the conditional equilibrium games._payoffs.
 
-def formula_manipulation_with(
-    e: Election, F: VotingRule, i: Voter, p: Profile, alt: Preference
-) -> Formula:
-    """True where the state's i-ranking prefers the deviated winner of p."""
-    return CompAtom(i, F.winner(e, p.replace(i, alt)), F.winner(e, p))
+def _rows(e: Election, F: VotingRule, i: Voter, profiles, ballots) -> list:
+    """rules._deviation_rows of voter i over profiles and ballots, listed,
+    after the voter check its callers owe it."""
+    check_voter(i, e.num_voters)
+    return list(_deviation_rows(e, F, i, profiles, ballots))
 
 
 def _deviations(e: Election, F: VotingRule) -> list[Preference]:
@@ -818,13 +821,23 @@ def _deviations(e: Election, F: VotingRule) -> list[Preference]:
     return [alt for _, alt in ballot_classes(F, e.orders())]
 
 
+def formula_manipulation_with(
+    e: Election, F: VotingRule, i: Voter, p: Profile, alt: Preference
+) -> Formula:
+    """True where the state's i-ranking prefers the deviated winner of p."""
+    _check_profile(e, p)
+    check_ranking(alt, e.candidates, "alt")
+    [(sincere, [won])] = _rows(e, F, i, [p], [alt])
+    return CompAtom(i, won, sincere)
+
+
 def formula_has_manipulation(
     e: Election, F: VotingRule, i: Voter, p: Profile
 ) -> Formula:
     """Some ballot beats sincerity at p, judged by the state's i-ranking."""
-    return big_or(
-        formula_manipulation_with(e, F, i, p, alt) for alt in _deviations(e, F)
-    )
+    _check_profile(e, p)
+    [(sincere, winners)] = _rows(e, F, i, [p], _deviations(e, F))
+    return big_or(CompAtom(i, won, sincere) for won in winners)
 
 
 def formula_dominant_manipulation(
@@ -839,67 +852,47 @@ def formula_dominant_manipulation(
     cases over the state's possible i-rankings, since "better than voting
     sincerely" depends on what the sincere ballot is at the state.
     """
+    check_ranking(alt, e.candidates, "alt")
     profiles = e.all_profiles()
-    weak = big_and(
-        Not(CompAtom(i, F.winner(e, p), F.winner(e, p.replace(i, alt))))
-        for p in profiles
-    )
+    weak = big_and(Not(CompAtom(i, sincere, won))
+                   for sincere, [won] in _rows(e, F, i, profiles, [alt]))
     anchor = e.orders()[0]
-    combos = [p for p in profiles if p.pref(i) == anchor]
+    combos = _rows(e, F, i, [p for p in profiles if p.pref(i) == anchor],
+                   (alt,) + e.orders())
     strict = big_or(
-        And(
-            PrefAtom(i, r),
-            big_or(
-                CompAtom(
-                    i,
-                    F.winner(e, p.replace(i, alt)),
-                    F.winner(e, p.replace(i, r)),
-                )
-                for p in combos
-            ),
-        )
-        for r in e.orders()
-    )
+        And(PrefAtom(i, r),
+            big_or(CompAtom(i, winners[0], winners[k]) for _, winners in combos))
+        for k, r in enumerate(e.orders(), start=1))
     return And(weak, strict)
 
 
 def formula_knows_de_dicto(e: Election, F: VotingRule, i: Voter) -> Formula:
     """i knows that whatever the profile is, some ballot manipulates it."""
-    alts = _deviations(e, F)
-    body = big_and(
-        Implies(ProfileAtom(p), big_or(
-            formula_manipulation_with(e, F, i, p, alt) for alt in alts))
-        for p in e.all_profiles()
-    )
-    return Know(i, body)
+    profiles = e.all_profiles()
+    rows = _rows(e, F, i, profiles, _deviations(e, F))
+    return Know(i, big_and(
+        Implies(ProfileAtom(p), big_or(CompAtom(i, won, sincere) for won in winners))
+        for p, (sincere, winners) in zip(profiles, rows)))
 
 
 def formula_knows_de_re(e: Election, F: VotingRule, i: Voter) -> Formula:
     """Some single ballot manipulates every profile i considers possible."""
-    profiles = e.all_profiles()
+    profiles, alts = e.all_profiles(), _deviations(e, F)
+    rows = _rows(e, F, i, profiles, alts)
     return big_or(
-        Know(
-            i,
-            big_and(
-                Implies(
-                    ProfileAtom(p), formula_manipulation_with(e, F, i, p, alt)
-                )
-                for p in profiles
-            ),
-        )
-        for alt in _deviations(e, F)
-    )
+        Know(i, big_and(Implies(ProfileAtom(p), CompAtom(i, winners[j], sincere))
+                        for p, (sincere, winners) in zip(profiles, rows)))
+        for j in range(len(alts)))
 
 
 def formula_equilibrium(e: Election, F: VotingRule, p: Profile) -> Formula:
     """No voter's deviation from the vote profile p beats its winner,
     judged by each voter's ranking at the evaluation state."""
+    _check_profile(e, p)
     alts = _deviations(e, F)
-    return big_and(
-        Not(formula_manipulation_with(e, F, i, p, alt))
-        for i in e.voters
-        for alt in alts
-    )
+    return big_and(Not(CompAtom(i, won, sincere)) for i in e.voters
+                   for sincere, winners in _rows(e, F, i, [p], alts)
+                   for won in winners)
 
 
 def formula_conditional_equilibrium(
@@ -910,23 +903,23 @@ def formula_conditional_equilibrium(
     One conjunct per virtual voter: her information set's characteristic
     formula guards, for every ballot class but her own ballot's, a
     comparison between her worst-case winners on that set under the
-    deviated and the original conditional profile. Indistinguishable
-    propagates from characteristic-formula construction.
+    deviated and the original conditional profile. Her worst-case ranks
+    are the game's payoff read (games._payoffs), mapped back to candidates
+    through her rank table. Indistinguishable propagates from
+    characteristic-formula construction.
     """
     e = m.election
     chars = _characteristic_formulas(
         m, [block for i in e.voters for block in m.blocks(i)])
     game = _Game(m, F)
-    keys, winner = game.keys_of(cp), game.winner
+    keys = game.keys_of(cp)
     conjuncts = []
     for p in game.players:
-        vi, rank = p.voter - 1, p.rank.__getitem__
-        base = [tuple(map(keys.__getitem__, row)) for row in p.rows]
-        here = min(map(winner, base), key=rank)
-        dev = [min((winner(ks[:vi] + (k,) + ks[vi + 1:]) for ks in base),
-                   key=rank) for k, _ in game.classes if k != keys[p.slot]]
+        of_rank = {rank: c for c, rank in p.rank.items()}
+        pays, mine = _payoffs(game, p, keys), game.place[keys[p.slot]]
         conjuncts.append(Implies(chars[p.slot], big_and(
-            Not(CompAtom(p.voter, d, here)) for d in dev)))
+            Not(CompAtom(p.voter, of_rank[paid], of_rank[pays[mine]]))
+            for j, paid in enumerate(pays) if j != mine)))
     return big_and(conjuncts)
 
 
@@ -936,6 +929,9 @@ def build_concept_formula(concept: str, **args) -> Formula:
     Concepts: manipulation_with(e,F,i,p,alt), has_manipulation(e,F,i,p),
     dominant_manipulation(e,F,i,alt), knows_de_dicto(e,F,i),
     knows_de_re(e,F,i), equilibrium(e,F,p), conditional_equilibrium(m,F,cp).
+    Each builder checks its arguments once: UnknownVoter for a bad voter,
+    ValueError for a profile without one ballot per voter or a ballot, alt
+    included, that does not rank e's candidates once.
     """
     builders = {
         "manipulation_with": formula_manipulation_with,

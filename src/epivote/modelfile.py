@@ -257,5 +257,8 @@ def load_model(path, validate: bool = True) -> ProfileModel:
 
 
 def save_model(m: ProfileModel, path) -> None:
+    """Write m to path. The text is rendered before the file is opened, so a
+    failed render leaves an existing file as it was."""
+    text = write_model(m)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(write_model(m))
+        fh.write(text)

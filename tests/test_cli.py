@@ -618,6 +618,49 @@ def test_python_dash_m_matches_main():
         code, out.encode(), err.encode())
 
 
+# -------------------------------------------------- a crash is not "false"
+
+@pytest.mark.parametrize("exc, want", [
+    (MemoryError(), "error: out of memory\n"),
+    (RecursionError("maximum recursion depth exceeded"),
+     "error: out of stack (recursion too deep)\n"),
+    (TypeError("unhashable type: 'list'"),
+     "error: internal error: TypeError: unhashable type: 'list'\n"),
+    (KeyError("x"), "error: internal error: KeyError: 'x'\n"),
+    (RuntimeError("two\nlines"), "error: internal error: RuntimeError: two lines\n"),
+], ids=["memory", "recursion", "type", "key", "two-lines"])
+def test_a_crash_exits_two_with_one_error_line(capsys, monkeypatch, exc, want):
+    """Exit 1 means "false": a crash inside a subcommand exits 2 instead,
+    with one line and no traceback."""
+    def crash(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "hypercube", crash)
+    code, out, err = run(capsys, "hypercube", "--candidates", "a,b",
+                         "--voters", "1")
+    assert (code, out, err) == (2, "", want)
+
+
+def test_running_out_of_memory_exits_two(tmp_path):
+    """The 331,776-state 4x4 cube does not fit in 100 MB of address space;
+    the cap is set in the child process only."""
+    resource = pytest.importorskip("resource")
+    cap = 100 * 1024 * 1024
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    target = tmp_path / "cube.model"
+    proc = subprocess.run(
+        [sys.executable, "-m", "epivote", "hypercube", "--candidates",
+         "a,b,c,d", "--voters", "4", "-o", str(target)],
+        capture_output=True, env=env, timeout=120, preexec_fn=limit)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, b"", b"error: out of memory\n")
+
+
 # ------------------------------------------------- the exit-code contract
 
 SUBCOMMANDS = ["check", "equilibria", "manipulations", "update", "hypercube",

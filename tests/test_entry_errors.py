@@ -148,6 +148,12 @@ def calls_on(m, data):
         ("dominant_manipulation", {"alt": good}),
         ("knows_de_dicto", {}),
         ("knows_de_re", {}))), "concept formula")
+    bad_concept, bad_args = data.draw(st.sampled_from((
+        ("manipulation_with", {"i": 1, "p": p, "alt": good}),
+        ("manipulation_with", {"i": 1, "p": actual, "alt": b}),
+        ("has_manipulation", {"i": 1, "p": p}),
+        ("dominant_manipulation", {"i": 1, "alt": b}),
+        ("equilibrium", {"p": p}))), "concept formula argument")
     s = data.draw(st.sampled_from(("zz", "s9", "")), "state")
     c = data.draw(bad_conditional_profiles(e, cp), "conditional profile")
     choices = {i: {block: ballot for block, ballot in zip(m.blocks(i), row)}
@@ -196,6 +202,8 @@ def calls_on(m, data):
         ("ProfileModel.blocks voter", lambda: m.blocks(v)),
         ("build_concept_formula voter",
          lambda: build_concept_formula(concept, e=e, F=F, i=v, **args)),
+        ("build_concept_formula argument",
+         lambda: build_concept_formula(bad_concept, e=e, F=F, **bad_args)),
         ("check_formula", lambda: check_formula(phi, e)),
         ("expand_abbreviations", lambda: expand_abbreviations(phi, e, F)),
         ("denotation", lambda: denotation(m, F, phi)),

@@ -415,6 +415,29 @@ def test_unknown_concept_rejected():
         build_concept_formula("bribery", e=E2, F=F)
 
 
+SINCERE = profile("a>b>c", "c>b>a")
+
+
+@pytest.mark.parametrize("concept, args, message", [
+    ("has_manipulation", dict(i=1, p=profile("a>b>c", "c>b>a", "b>a>c")),
+     "^expected 2 ballots, one per voter, got 3$"),
+    ("equilibrium", dict(p=profile("a>b>c", "c>b>a", "b>a>c")),
+     "^expected 2 ballots, one per voter, got 3$"),
+    ("has_manipulation", dict(i=1, p=profile("a>b>c", "a>b")),
+     "^voter 2's ballot a>b does not rank every candidate of a b c once$"),
+    ("manipulation_with", dict(i=1, p=SINCERE, alt=pref("c>a")),
+     "^alt c>a does not rank every candidate of a b c once$"),
+    ("manipulation_with", dict(i=1, p=SINCERE, alt=pref("x>y>z")),
+     "^alt x>y>z does not rank every candidate of a b c once$"),
+    ("dominant_manipulation", dict(i=1, alt=pref("x>y>z")),
+     "^alt x>y>z does not rank every candidate of a b c once$"),
+], ids=["has-long", "equilibrium-long", "has-short-ballot", "alt-short",
+        "alt-foreign", "dominant-foreign"])
+def test_concept_formulas_refuse_malformed_arguments(concept, args, message):
+    with pytest.raises(ValueError, match=message):
+        build_concept_formula(concept, e=E2, F=F, **args)
+
+
 # ------------------------------------------------------ formulas of any depth
 
 E4X2 = Election(("a", "b", "c", "d"), 2)

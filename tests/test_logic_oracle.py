@@ -10,9 +10,14 @@ with one winner call per ballot. ``old_first_violation`` and
 ``validate_model`` and ``check_axioms`` each kept, the second rescanning the
 block per member. ``old_bisim_rounds`` and ``old_class_formula_table`` are
 the partition refinement that rebuilt a block's class set per member state,
-in two passes. ``old_has_manipulation``, ``old_knows_de_dicto``,
-``old_knows_de_re`` and ``old_equilibrium`` are the concept builders that
-tried every ballot, not one per ballot class. ``old_fmt``,
+in two passes. ``old_manipulation_with``, ``old_has_manipulation``,
+``old_dominant_manipulation``, ``old_knows_de_dicto``, ``old_knows_de_re``
+and ``old_equilibrium`` are the concept builders that decided each winner
+themselves, the sincere one anew for every deviation, before they read the
+deviation table (``rules._deviation_rows``); given a rule wrapped in
+``EveryBallot`` they try every ballot, as before ballot classes.
+``old_game_conditional_equilibrium`` took each worst-case winner from the
+game's winners before the game's payoff read (``games._payoffs``). ``old_fmt``,
 ``old_check_formula``, ``old_expand_abbreviations``,
 ``old_reduce_announcements`` and ``old_eq`` are the tree walks that recursed
 on the Python stack before the explicit-stack fold; ``old_repr`` is the
@@ -36,6 +41,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import pointed_models, random_formula
 from test_games_oracle import Veto
+from test_strategic import Borda, CountingRule
 from epivote import (
     And,
     Announce,
@@ -75,7 +81,6 @@ from epivote.logic import (
     big_and,
     big_or,
     characteristic_formula,
-    formula_manipulation_with,
 )
 
 F = Plurality(pref("b>a>c"))
@@ -508,9 +513,33 @@ def test_refinement_matches_the_old_scans_on_drawn_models(m):
 
 # ------------------------------------------------ concept formulas per ballot
 
+def old_manipulation_with(e, F, i, p, alt):
+    return CompAtom(i, F.winner(e, p.replace(i, alt)), F.winner(e, p))
+
+
+def old_deviations(e, F):
+    return [alt for _, alt in rules.ballot_classes(F, e.orders())]
+
+
 def old_has_manipulation(e, F, i, p):
-    return big_or(formula_manipulation_with(e, F, i, p, alt)
-                  for alt in e.orders())
+    return big_or(old_manipulation_with(e, F, i, p, alt)
+                  for alt in old_deviations(e, F))
+
+
+def old_dominant_manipulation(e, F, i, alt):
+    profiles = e.all_profiles()
+    weak = big_and(
+        Not(CompAtom(i, F.winner(e, p), F.winner(e, p.replace(i, alt))))
+        for p in profiles)
+    anchor = e.orders()[0]
+    combos = [p for p in profiles if p.pref(i) == anchor]
+    strict = big_or(
+        And(PrefAtom(i, r), big_or(
+            CompAtom(i, F.winner(e, p.replace(i, alt)),
+                     F.winner(e, p.replace(i, r)))
+            for p in combos))
+        for r in e.orders())
+    return And(weak, strict)
 
 
 def old_knows_de_dicto(e, F, i):
@@ -522,22 +551,53 @@ def old_knows_de_dicto(e, F, i):
 def old_knows_de_re(e, F, i):
     return big_or(
         Know(i, big_and(
-            Implies(ProfileAtom(p), formula_manipulation_with(e, F, i, p, alt))
+            Implies(ProfileAtom(p), old_manipulation_with(e, F, i, p, alt))
             for p in e.all_profiles()))
-        for alt in e.orders())
+        for alt in old_deviations(e, F))
 
 
 def old_equilibrium(e, F, p):
-    return big_and(Not(formula_manipulation_with(e, F, i, p, alt))
-                   for i in e.voters for alt in e.orders())
+    return big_and(Not(old_manipulation_with(e, F, i, p, alt))
+                   for i in e.voters for alt in old_deviations(e, F))
+
+
+def old_game_conditional_equilibrium(m, F, cp):
+    e = m.election
+    chars = logic._characteristic_formulas(
+        m, [block for i in e.voters for block in m.blocks(i)])
+    game = games._Game(m, F)
+    keys, winner = game.keys_of(cp), game.winner
+    conjuncts = []
+    for p in game.players:
+        vi, rank = p.voter - 1, p.rank.__getitem__
+        base = [tuple(map(keys.__getitem__, row)) for row in p.rows]
+        here = min(map(winner, base), key=rank)
+        dev = [min((winner(ks[:vi] + (k,) + ks[vi + 1:]) for ks in base),
+                   key=rank) for k, _ in game.classes if k != keys[p.slot]]
+        conjuncts.append(Implies(chars[p.slot], big_and(
+            Not(CompAtom(p.voter, d, here)) for d in dev)))
+    return big_and(conjuncts)
 
 
 OLD_BUILDERS = {
+    "manipulation_with": old_manipulation_with,
     "has_manipulation": old_has_manipulation,
+    "dominant_manipulation": old_dominant_manipulation,
     "knows_de_dicto": old_knows_de_dicto,
     "knows_de_re": old_knows_de_re,
     "equilibrium": old_equilibrium,
 }
+
+
+class EveryBallot:
+    """F without its ballot key: a builder then deviates to every ballot,
+    one class each, as the builders did before ballot classes."""
+
+    def __init__(self, F):
+        self.F, self.name = F, F.name
+
+    def winner(self, e, votes):
+        return self.F.winner(e, votes)
 
 
 @functools.lru_cache(maxsize=None)
@@ -546,7 +606,7 @@ def ballot_formulas(concept, e, F, args):
     election, rule and arguments, since neither reads a model. Under the
     keyless Veto every ballot is its own class, so the texts must agree."""
     new = build_concept_formula(concept, e=e, F=F, **dict(args))
-    old = OLD_BUILDERS[concept](e, F, **dict(args))
+    old = OLD_BUILDERS[concept](e, EveryBallot(F), **dict(args))
     if isinstance(F, Veto):
         assert to_text(new) == to_text(old), concept
     return new, old
@@ -614,6 +674,96 @@ def test_concept_formulas_match_the_per_ballot_builders_on_fixtures(
         assert_concepts_match(m, rng)
     # the old conditional-equilibrium builder takes seconds on the cube
     assert_concepts_match(CUBE3X3, rng, conditional=False)
+
+
+# ------------------------------------ concept formulas as reads of the tables
+
+ELECTIONS = ((Election(("a", "b", "c"), 2), pref("b>a>c")),
+             (Election(("a", "b", "c"), 3), pref("b>a>c")),
+             (Election(("a", "b", "c", "d"), 2), pref("c>a>d>b")))
+
+
+def parent_concepts(e, F, rng):
+    """(concept, arguments) for every voter, at two random profiles and
+    with random ballots; the knows formulas, which hold a comparison per
+    profile and class, for one random voter. On 4x2 a keyless rule's hold
+    24 x 576, so there only plurality's are built; the keyless path is
+    read on 3x2 and 3x3."""
+    orders, profiles = e.orders(), rng.sample(e.all_profiles(), 2)
+    if len(orders) < 24 or isinstance(F, Plurality):
+        knower = rng.choice(e.voters)
+        yield "knows_de_dicto", dict(i=knower)
+        yield "knows_de_re", dict(i=knower)
+    for i in e.voters:
+        yield "dominant_manipulation", dict(i=i, alt=rng.choice(orders))
+        for p in profiles:
+            yield "has_manipulation", dict(i=i, p=p)
+            yield "manipulation_with", dict(i=i, p=p, alt=rng.choice(orders))
+    for p in profiles:
+        yield "equilibrium", dict(p=p)
+
+
+def test_concept_formulas_read_as_the_direct_builders_wrote():
+    """Every concept built from the deviation table prints as the builder
+    that decided each winner itself, under plurality (one class per top),
+    the keyless veto rule and Borda."""
+    rng = random.Random(17)
+    for e, tiebreak in ELECTIONS:
+        for F in (Plurality(tiebreak), Veto(tiebreak), Borda(tiebreak)):
+            for concept, args in parent_concepts(e, F, rng):
+                new = build_concept_formula(concept, e=e, F=F, **args)
+                old = OLD_BUILDERS[concept](e, F, **args)
+                assert to_text(new) == to_text(old), (e, F.name, concept, args)
+
+
+def test_conditional_equilibrium_formula_reads_as_the_winner_builder(
+        all_fixture_models):
+    """The formula read off the game's payoffs prints as the one that took
+    each worst-case winner from the game's winners."""
+    rng = random.Random(19)
+    for m in [*all_fixture_models.values(), CUBE3X2]:
+        orders = m.election.orders()
+        cps = [games.sincere_conditional_profile(m)] + [
+            tuple(tuple(rng.choice(orders) for _ in m.blocks(i))
+                  for i in m.election.voters) for _ in range(2)]
+        for F in (Plurality(m.tiebreak), Veto(m.tiebreak), Borda(m.tiebreak)):
+            for cp in cps:
+                new = built_or_refused(lambda: build_concept_formula(
+                    "conditional_equilibrium", m=m, F=F, cp=cp))
+                old = built_or_refused(
+                    lambda: old_game_conditional_equilibrium(m, F, cp))
+                if isinstance(old, str):
+                    assert new == old
+                else:
+                    assert to_text(new) == to_text(old)
+
+
+def winner_calls(build, rule, **args):
+    F = CountingRule(rule)
+    build(e=CUBE3X2.election, F=F, **args)
+    return sum(F.calls.values())
+
+
+def test_concept_formulas_decide_one_winner_per_ballot_class():
+    """On 3x2, each profile the table reads costs its sincere winner and
+    one winner per ballot class, where the direct builders paid two calls
+    per ballot class: 3 classes under plurality, 6 under veto."""
+    p, alt = profile("a>b>c", "c>b>a"), pref("c>a>b")
+    concepts = {"knows_de_dicto": dict(i=1), "knows_de_re": dict(i=2),
+                "dominant_manipulation": dict(i=1, alt=alt),
+                "has_manipulation": dict(i=2, p=p), "equilibrium": dict(p=p)}
+
+    def calls(rule, names):
+        return {c: (winner_calls(OLD_BUILDERS[c], rule, **concepts[c]),
+                    winner_calls(functools.partial(build_concept_formula, c), rule,
+                                 **concepts[c])) for c in names}
+
+    assert calls(F, concepts) == {
+        "knows_de_dicto": (216, 144), "knows_de_re": (216, 144),
+        "dominant_manipulation": (144, 96), "has_manipulation": (6, 4),
+        "equilibrium": (12, 8)}
+    assert calls(Veto(F.tiebreak), ("knows_de_dicto", "knows_de_re")) == {
+        "knows_de_dicto": (432, 252), "knows_de_re": (432, 252)}
 
 
 # ------------------------------------------------ the recursive tree walks

@@ -150,3 +150,20 @@ def test_a_bad_ballot_text_is_reported_at_each_first_line():
     with pytest.raises(ModelSyntaxError,
                        match="^line 4: voter 1's order must rank every "):
         parse_model(text)
+
+
+def test_a_failed_render_leaves_the_target_file_as_it_was(
+        monkeypatch, tmp_path, nested_doubt):
+    """save_model renders before it opens the file, so running out of
+    memory while rendering does not empty an existing file."""
+    path = tmp_path / "kept.model"
+    path.write_text(GOOD, encoding="utf-8")
+    before = path.read_bytes()
+
+    def fail(m):
+        raise MemoryError
+
+    monkeypatch.setattr(modelfile, "write_model", fail)
+    with pytest.raises(MemoryError):
+        modelfile.save_model(nested_doubt, path)
+    assert path.read_bytes() == before
