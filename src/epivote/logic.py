@@ -854,15 +854,21 @@ def formula_dominant_manipulation(
     """
     check_ranking(alt, e.candidates, "alt")
     profiles = e.all_profiles()
-    weak = big_and(Not(CompAtom(i, sincere, won))
-                   for sincere, [won] in _rows(e, F, i, profiles, [alt]))
+    weak = big_and(
+        Not(CompAtom(i, sincere, won))
+        for sincere, [won] in _rows(e, F, i, profiles, [alt])
+    )
     anchor = e.orders()[0]
-    combos = _rows(e, F, i, [p for p in profiles if p.pref(i) == anchor],
-                   (alt,) + e.orders())
+    combos = _rows(
+        e, F, i, [p for p in profiles if p.pref(i) == anchor], (alt,) + e.orders()
+    )
     strict = big_or(
-        And(PrefAtom(i, r),
-            big_or(CompAtom(i, winners[0], winners[k]) for _, winners in combos))
-        for k, r in enumerate(e.orders(), start=1))
+        And(
+            PrefAtom(i, r),
+            big_or(CompAtom(i, winners[0], winners[k]) for _, winners in combos),
+        )
+        for k, r in enumerate(e.orders(), start=1)
+    )
     return And(weak, strict)
 
 
@@ -870,9 +876,11 @@ def formula_knows_de_dicto(e: Election, F: VotingRule, i: Voter) -> Formula:
     """i knows that whatever the profile is, some ballot manipulates it."""
     profiles = e.all_profiles()
     rows = _rows(e, F, i, profiles, _deviations(e, F))
-    return Know(i, big_and(
+    body = big_and(
         Implies(ProfileAtom(p), big_or(CompAtom(i, won, sincere) for won in winners))
-        for p, (sincere, winners) in zip(profiles, rows)))
+        for p, (sincere, winners) in zip(profiles, rows)
+    )
+    return Know(i, body)
 
 
 def formula_knows_de_re(e: Election, F: VotingRule, i: Voter) -> Formula:
@@ -880,9 +888,15 @@ def formula_knows_de_re(e: Election, F: VotingRule, i: Voter) -> Formula:
     profiles, alts = e.all_profiles(), _deviations(e, F)
     rows = _rows(e, F, i, profiles, alts)
     return big_or(
-        Know(i, big_and(Implies(ProfileAtom(p), CompAtom(i, winners[j], sincere))
-                        for p, (sincere, winners) in zip(profiles, rows)))
-        for j in range(len(alts)))
+        Know(
+            i,
+            big_and(
+                Implies(ProfileAtom(p), CompAtom(i, winners[j], sincere))
+                for p, (sincere, winners) in zip(profiles, rows)
+            ),
+        )
+        for j in range(len(alts))
+    )
 
 
 def formula_equilibrium(e: Election, F: VotingRule, p: Profile) -> Formula:
@@ -890,9 +904,12 @@ def formula_equilibrium(e: Election, F: VotingRule, p: Profile) -> Formula:
     judged by each voter's ranking at the evaluation state."""
     _check_profile(e, p)
     alts = _deviations(e, F)
-    return big_and(Not(CompAtom(i, won, sincere)) for i in e.voters
-                   for sincere, winners in _rows(e, F, i, [p], alts)
-                   for won in winners)
+    return big_and(
+        Not(CompAtom(i, won, sincere))
+        for i in e.voters
+        for sincere, winners in _rows(e, F, i, [p], alts)
+        for won in winners
+    )
 
 
 def formula_conditional_equilibrium(

@@ -59,9 +59,15 @@ cc | 20.0  11.1   02.2
 """
 
 
+# The lines main prints for a crash; the helpers below fail on them, so an
+# exit 2 from a bug never passes for an expected error.
+CRASHES = ("error: internal error:", "error: out of memory", "error: out of stack")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
+    assert not out.err.startswith(CRASHES), (argv, out.err)
     return code, out.out, out.err
 
 
@@ -636,9 +642,10 @@ def test_a_crash_exits_two_with_one_error_line(capsys, monkeypatch, exc, want):
         raise exc
 
     monkeypatch.setattr(cli, "hypercube", crash)
-    code, out, err = run(capsys, "hypercube", "--candidates", "a,b",
-                         "--voters", "1")
-    assert (code, out, err) == (2, "", want)
+    code = main(["hypercube", "--candidates", "a,b", "--voters", "1"])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (2, "", want)
+    assert want.startswith(CRASHES)
 
 
 def test_running_out_of_memory_exits_two(tmp_path):
@@ -779,7 +786,8 @@ def test_axioms_names_each_violation_of_a_written_model(m):
 
 
 def run_in_process(argv):
-    """Exit code, stdout and stderr of main as the interpreter reports them."""
+    """Exit code, stdout and stderr of main as the interpreter reports them;
+    a crash line on stderr fails the calling test."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
@@ -789,6 +797,7 @@ def run_in_process(argv):
         except Exception:  # uncaught: a traceback and exit status 1
             traceback.print_exc()
             code = 1
+    assert not err.getvalue().startswith(CRASHES), (argv, err.getvalue())
     return code, out.getvalue(), err.getvalue()
 
 
