@@ -28,8 +28,7 @@ import sys
 
 from . import dynamics, games, logic, strategic
 from .errors import EpivoteError, UnknownState
-from .model import (Election, Preference, ProfileModel, hypercube, pref,
-                    validate_model)
+from .model import Election, Preference, ProfileModel, hypercube, pref
 from .modelfile import load_model, save_model, write_model
 from .rules import Plurality, rule_for
 
@@ -292,7 +291,6 @@ def cmd_hypercube(args) -> int:
     e = _listed_election(args)
     tiebreak = _parse_order(args.tiebreak) if args.tiebreak else None
     m = hypercube(e, tiebreak=tiebreak)
-    validate_model(m)
     if args.output:
         save_model(m, args.output)
         _emit(args, {"command": "hypercube", "states": len(m.states),

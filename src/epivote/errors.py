@@ -1,25 +1,31 @@
 """Exception types shared across the package.
 
 The library raises two kinds of error. Faults of a model, a formula or a
-size cap derive from EpivoteError. A bad argument value raises the builtin
-ValueError: an Election or Preference that cannot be built, a ballot or
-tiebreak that does not rank the candidates once, a profile without one
-ballot per voter (rules, games, the concept formulas), a conditional
-profile of the wrong shape (games, update_conditional_profile) or with a
-missing choice (conditional_profile), a grid of other than two voters
-(payoff_matrix), an unknown mode (knows_manipulation), and an unknown
-property, a budget or a state count out of range (dynamics). Each entry
-checks its profile and ballots once per call (rules._check_profile,
-model.check_ranking). The CLI maps both, and OSError, to exit code 2
-without enumerating causes; it maps running out of memory or stack, and
-any other exception, to exit code 2 as well.
+size cap derive from EpivoteError. A bad argument value raises the
+builtin ValueError: an Election or Preference that cannot be built (one
+string of candidates, a voter count that is no int or is a bool), a
+state name the model file cannot hold, a ballot or tiebreak that does
+not rank the candidates once, a profile without one ballot per voter
+(rules, games, the concept formulas), a conditional profile of the wrong
+shape (games, update_conditional_profile) or with a missing choice
+(conditional_profile), a grid of other than two voters (payoff_matrix),
+an unknown mode (knows_manipulation), and an unknown property, a budget
+or a state count out of range (dynamics). Each entry checks its profile
+and ballots once per call (rules._check_profile, model.check_ranking).
+The CLI maps both, and OSError, to exit code 2 without enumerating
+causes; it maps running out of memory or stack, and any other exception,
+to exit code 2 as well.
 
 A voter is an int, not a bool, in 1..n; anything else raises UnknownVoter
 from model.check_voter, the one voter rule. Profile.pref and
-Profile.replace, ProfileModel.blocks, block_ids and block_of,
-check_formula, dominant_preference and the concept formulas call it, so
-every entry that takes a voter refuses a bad one before it judges
-anything.
+Profile.replace, ProfileModel.blocks, block_ids and block_of, the
+partition keys of make_model, check_formula, dominant_preference and the
+concept formulas call it, so every entry that takes a voter refuses a bad
+one before it judges anything.
+
+A ProfileModel checks its structure when it is built, so DanglingState,
+PartitionError and UnknownState for a broken partition, valuation or point
+come from construction; validate_model adds only OwnPreferenceViolation.
 """
 
 
@@ -36,7 +42,9 @@ class ModelSyntaxError(EpivoteError):
 
 
 class PartitionError(EpivoteError):
-    """A voter's indistinguishability blocks do not partition the state set."""
+    """A voter's indistinguishability blocks do not partition the state set,
+    state names repeat, or a voter has no partition; raised when the model
+    is built."""
 
 
 class OwnPreferenceViolation(EpivoteError):

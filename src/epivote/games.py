@@ -184,8 +184,7 @@ class _Game:
         self.place = {k: j for j, (k, _) in enumerate(self.classes)}
         self.bounds = list(itertools.accumulate(
             (len(m.blocks(i)) for i in e.voters), initial=0))
-        # per state in file order, the slot of each voter's ballot there;
-        # PartitionError when some voter's partition misses a state
+        # per state in file order, the slot of each voter's ballot there
         self.at = [tuple(o + k for o, k in zip(self.bounds, m.block_ids_at(si)))
                    for si in range(len(m.states))]
         self.players: list[_Player] = []

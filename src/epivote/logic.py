@@ -63,7 +63,6 @@ from .model import (
     check_voter,
     own_preference_violations,
     ranks_every_candidate,
-    validate_structure,
 )
 from .rules import VotingRule, _check_profile, _deviation_rows, ballot_classes
 
@@ -695,8 +694,8 @@ class AxiomReport:
 
     exclusivity: every state satisfies exactly one complete profile atom.
     Since a model's valuation maps each state to a single complete profile,
-    this holds for any structurally well-formed model; the checker verifies
-    the structure and reports it. introspection: every voter knows her own
+    and every model's structure is checked when it is built, this always
+    holds and the checker reports it. introspection: every voter knows her own
     ranking, i.e. a true pref atom is true throughout the voter's block.
     Violations carry (voter, state, confused state)."""
 
@@ -707,7 +706,6 @@ class AxiomReport:
 
 def check_axioms(m: ProfileModel) -> AxiomReport:
     """Check both axioms; accepts models that fail the own-preference rule."""
-    validate_structure(m)
     viols = tuple(own_preference_violations(m))
     return AxiomReport(
         exclusivity_valid=True,

@@ -2,9 +2,11 @@
 
 A profile model is an S5 Kripke structure whose states are labeled with vote
 profiles and whose accessibility relations are stored as partitions (blocks of
-states a voter cannot tell apart). Every voter always knows her own
-preference, so within any block of voter i the i-th preference is constant;
-``validate_model`` enforces this and the other structural invariants.
+states a voter cannot tell apart). A ProfileModel checks its structure when it
+is built, so every model has real partitions and a complete valuation. Every
+voter always knows her own preference, so within any block of voter i the
+i-th preference is constant; ``validate_model`` enforces this rule, which
+construction leaves to it.
 """
 
 from __future__ import annotations
@@ -41,6 +43,10 @@ SIZE_CAP = 10**6
 _CANDIDATE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 RESERVED_WORDS = frozenset({"K", "true", "false", "profile", "pref", "wins"})
 
+# A state name is what the model file can read back: a non-empty run of
+# characters without whitespace, comment marks, '=' or block braces.
+_STATE_NAME = re.compile(r"[^\s#={}]+")
+
 
 def check_size(total: int, what: str) -> None:
     """Raise SizeLimit when an enumeration of total items (named by what in
@@ -64,7 +70,7 @@ def check_candidate_names(candidates) -> None:
     """Raise ValueError for the first name that is not a formula identifier
     or is a reserved word of the formula language."""
     for c in candidates:
-        if not _CANDIDATE_NAME.fullmatch(c):
+        if not (isinstance(c, str) and _CANDIDATE_NAME.fullmatch(c)):
             raise ValueError(f"candidate name {c!r} is not an identifier")
         if c in RESERVED_WORDS:
             raise ValueError(f"candidate name {c!r} is a reserved word")
@@ -72,17 +78,25 @@ def check_candidate_names(candidates) -> None:
 
 @dataclass(frozen=True)
 class Election:
-    """Candidates in file order plus the number of voters (named 1..n)."""
+    """Candidates in file order plus the number of voters (named 1..n).
+
+    Any sequence of candidate names is stored as a tuple; a bare string is
+    refused rather than split into letters. The voter count is an int, not a
+    bool, as in check_voter.
+    """
 
     candidates: tuple[Candidate, ...]
     num_voters: int
 
     def __post_init__(self):
+        object.__setattr__(self, "candidates", _names(self.candidates))
         if not self.candidates:
             raise EmptySet("an election needs at least one candidate")
         check_candidate_names(self.candidates)
         if len(set(self.candidates)) != len(self.candidates):
             raise ValueError("duplicate candidate names")
+        if type(self.num_voters) is not int:
+            raise ValueError(f"voter count {self.num_voters!r} is not an int")
         if self.num_voters < 1:
             raise EmptySet("an election needs at least one voter")
 
@@ -113,11 +127,13 @@ class Election:
 
 @dataclass(frozen=True)
 class Preference:
-    """A strict linear order over candidates, best first."""
+    """A strict linear order over candidates, best first, stored as a tuple
+    (a bare string is refused, as in Election)."""
 
     order: tuple[Candidate, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "order", _names(self.order))
         if len(set(self.order)) != len(self.order):
             raise ValueError(f"order repeats a candidate: {self.order}")
 
@@ -143,6 +159,13 @@ class Preference:
 
     def as_text(self) -> str:
         return ">".join(self.order)
+
+
+def _names(names) -> tuple[Candidate, ...]:
+    """The candidate sequence names as a tuple; ValueError for one string."""
+    if isinstance(names, str):
+        raise ValueError(f"candidates {names!r} are one string, not a sequence")
+    return tuple(names)
 
 
 def pref(text: str) -> Preference:
@@ -189,16 +212,22 @@ class ProfileModel:
     ``tiebreak`` and ``point`` are optional at this layer: rules that need a
     tie-breaking order and pointed operations check for them at use time.
 
-    Every state lookup reads one index, built on first use and not part of
-    equality: a state -> position dict, and per voter a tuple aligned with
-    ``states`` holding the number of the block that contains each state.
-    The per-voter reads take their voter through check_voter. A model with
-    fewer partitions than voters raises PartitionError from ``blocks`` of a
-    voter without one and from every read of the index, which needs them all.
-    ``block_ids(i)[k]`` is the position in ``blocks(i)`` of the block holding
-    ``states[k]``, or -1 when no block covers it. Only models that
-    ``validate_model`` rejects have -1 entries or overlapping blocks (where
-    the first block wins), so they still construct and can be reported.
+    Building a model checks its structure, whether it comes from make_model,
+    restrict, hypercube, parse_model, dataclasses.replace or this
+    constructor. There is at least one state and no name twice, each name
+    one the model file can hold (else ValueError). There is one profile per
+    state, with one ballot per voter that ranks every candidate once (else
+    DanglingState). There is one partition per voter whose non-empty blocks
+    cover each state once (else PartitionError, or UnknownState for a member
+    that is no state). The tiebreak ranks every candidate once (else
+    ValueError) and the point is a state (else UnknownState). The first
+    broken rule is raised, in that order. The own-preference rule is left to
+    validate_model, so models that break it can be built and reported.
+
+    The check builds the one index every state lookup reads; it is not part
+    of equality: a state -> position dict, and per voter a tuple aligned
+    with ``states`` holding the number of the block that contains each
+    state. The per-voter reads take their voter through check_voter.
     """
 
     election: Election
@@ -208,27 +237,63 @@ class ProfileModel:
     tiebreak: Preference | None = None
     point: str | None = None
 
-    @cached_property
-    def _positions(self) -> dict[str, int]:
-        pos: dict[str, int] = {}
-        for k, s in enumerate(self.states):
-            pos.setdefault(s, k)
-        return pos
-
-    @cached_property
-    def _block_ids(self) -> tuple[tuple[int, ...], ...]:
-        if len(self.partitions) < self.election.num_voters:
+    def __post_init__(self):
+        e, states = self.election, self.states
+        if not states:
+            raise EmptySet("a model needs at least one state")
+        pos = {s: k for k, s in enumerate(states)}
+        if len(pos) != len(states):
+            raise PartitionError("duplicate state names")
+        for s in states:
+            if not (isinstance(s, str) and _STATE_NAME.fullmatch(s)):
+                raise ValueError(f"state name {s!r} cannot be written to a "
+                                 f"model file")
+        if len(self.profiles) != len(states):
+            raise DanglingState("valuation does not cover every state")
+        ranked: set[Preference] = set()  # ballots already found complete
+        for s, p in zip(states, self.profiles):
+            if len(p.prefs) != e.num_voters:
+                raise DanglingState(
+                    f"state {s!r} ranks {len(p.prefs)} voters, "
+                    f"expected {e.num_voters}"
+                )
+            for i, r in enumerate(p.prefs, start=1):
+                if r in ranked:
+                    continue
+                if not ranks_every_candidate(r.order, e.candidates):
+                    raise DanglingState(
+                        f"state {s!r}, voter {i}: order {r.as_text()} does not "
+                        f"rank every candidate exactly once"
+                    )
+                ranked.add(r)
+        if len(self.partitions) != e.num_voters:
             raise PartitionError("need one partition per voter")
-        pos = self._positions
         table = []
-        for blocks in self.partitions:
-            row = [-1] * len(self.states)
+        for voter, blocks in enumerate(self.partitions, start=1):
+            row = [-1] * len(states)  # -1 until a block covers the state
             for k, block in enumerate(blocks):
+                if not block:
+                    raise PartitionError(f"voter {voter} has an empty block")
                 for s in block:
-                    if s in pos and row[pos[s]] < 0:
-                        row[pos[s]] = k
+                    si = pos.get(s)
+                    if si is None:
+                        raise UnknownState(f"voter {voter}'s partition "
+                                           f"mentions unknown state {s!r}")
+                    if row[si] >= 0:
+                        raise PartitionError(
+                            f"voter {voter}: state {s!r} appears in two blocks")
+                    row[si] = k
+            if -1 in row:
+                missing = [s for s, k in zip(states, row) if k < 0]
+                raise PartitionError(
+                    f"voter {voter}'s partition misses state(s) {missing}")
             table.append(tuple(row))
-        return tuple(table)
+        if self.tiebreak is not None:
+            check_ranking(self.tiebreak, e.candidates, "tiebreak")
+        if self.point is not None and self.point not in pos:
+            raise UnknownState(f"point {self.point!r} is not a state")
+        object.__setattr__(self, "_positions", pos)
+        object.__setattr__(self, "_block_ids", tuple(table))
 
     def index(self, state: str) -> int:
         try:
@@ -241,35 +306,21 @@ class ProfileModel:
 
     def blocks(self, voter: Voter) -> tuple[InformationSet, ...]:
         check_voter(voter, self.election.num_voters)
-        if voter > len(self.partitions):
-            raise PartitionError("need one partition per voter")
         return self.partitions[voter - 1]
 
     def block_ids(self, voter: Voter) -> tuple[int, ...]:
-        """Per state (in ``states`` order), voter's block number or -1."""
+        """Per state (in ``states`` order), voter's block number."""
         check_voter(voter, self.election.num_voters)
         return self._block_ids[voter - 1]
 
     def block_ids_at(self, si: int) -> tuple[int, ...]:
-        """Each voter's block number at the si-th state, voters ascending.
-
-        Raises PartitionError when some voter's partition does not cover it.
-        """
-        ks = tuple([row[si] for row in self._block_ids])
-        if -1 in ks:
-            raise self._uncovered(ks.index(-1) + 1, self.states[si])
-        return ks
-
-    def _uncovered(self, voter, state) -> PartitionError:
-        return PartitionError(
-            f"voter {voter}'s partition does not cover state {state!r}")
+        """Each voter's block number at the si-th state, voters ascending."""
+        return tuple([row[si] for row in self._block_ids])
 
     def block_of(self, voter: Voter, state: str) -> InformationSet:
         check_voter(voter, self.election.num_voters)
-        k = self._block_ids[voter - 1][self.index(state)]
-        if k < 0:
-            raise self._uncovered(voter, state)
-        return self.partitions[voter - 1][k]
+        return self.partitions[voter - 1][
+            self._block_ids[voter - 1][self.index(state)]]
 
     def profiles_of(self, block: InformationSet) -> list[Profile]:
         """Distinct profiles labelling the block's states, first-seen order."""
@@ -317,11 +368,10 @@ def make_model(
 
     ``profiles`` maps state -> Profile (dict) or is a sequence aligned with
     ``states``. ``partitions`` maps voter -> iterable of state-iterables;
-    omitted voters (or a None value) get all-singleton partitions. A
-    tiebreak that does not rank every candidate once raises ValueError.
+    omitted voters (or a None value) get all-singleton partitions, and a key
+    that is no voter raises UnknownVoter (check_voter). The ProfileModel
+    constructor checks the rest of the structure.
     """
-    if tiebreak is not None:
-        check_ranking(tiebreak, election.candidates, "tiebreak")
     states = tuple(states)
     if isinstance(profiles, dict):
         missing = [s for s in states if s not in profiles]
@@ -330,21 +380,20 @@ def make_model(
         profs = tuple(profiles[s] for s in states)
     else:
         profs = tuple(profiles)
-        if len(profs) != len(states):
-            raise DanglingState("profiles sequence does not match states")
-    order = {s: k for k, s in enumerate(states)}
-    parts = []
     raw = partitions or {}
+    for voter in raw:
+        check_voter(voter, election.num_voters)
+    # unknown members and empty blocks sort first; the constructor names them
+    position = {s: k for k, s in enumerate(states)}.get
+    parts = []
     for voter in election.voters:
         given = raw.get(voter)
         if given is None:
             parts.append(tuple((s,) for s in states))
             continue
-        blocks = []
-        for blk in given:
-            members = tuple(sorted(blk, key=lambda s: _state_index(order, s)))
-            blocks.append(members)
-        blocks.sort(key=lambda b: order[b[0]])
+        blocks = [tuple(sorted(blk, key=lambda s: position(s, -1)))
+                  for blk in given]
+        blocks.sort(key=lambda b: position(b[0], -1) if b else -1)
         parts.append(tuple(blocks))
     return ProfileModel(
         election=election,
@@ -356,19 +405,13 @@ def make_model(
     )
 
 
-def _state_index(order: dict[str, int], s: str) -> int:
-    if s not in order:
-        raise UnknownState(f"block member {s!r} is not a state")
-    return order[s]
-
-
 def validate_model(m: ProfileModel) -> None:
-    """Check every invariant; raise the first violation found.
+    """Check the own-preference rule, the one rule construction leaves out.
 
-    Raises DanglingState, PartitionError, OwnPreferenceViolation, or
-    UnknownState. Returning normally means the model is well formed.
+    Raises OwnPreferenceViolation for the first voter and block where two
+    states give her different ballots; returning normally means the model is
+    well formed.
     """
-    validate_structure(m)
     for voter, state, other in own_preference_violations(m):
         raise OwnPreferenceViolation(voter, state, other)
 
@@ -404,64 +447,6 @@ def check_ranking(ballot: Preference, candidates, what: str) -> None:
     if not ranks_every_candidate(ballot.order, candidates):
         raise ValueError(f"{what} {ballot.as_text()} does not rank every "
                          f"candidate of {' '.join(candidates)} once")
-
-
-def validate_structure(m: ProfileModel) -> None:
-    """Everything validate_model checks except the own-preference condition.
-
-    The axiom checker runs on models that may violate own-preference (that is
-    what it reports), but it still needs real partitions and a total valuation.
-    """
-    if not m.states:
-        raise EmptySet("a model needs at least one state")
-    if len(set(m.states)) != len(m.states):
-        raise PartitionError("duplicate state names")
-    if len(m.profiles) != len(m.states):
-        raise DanglingState("valuation does not cover every state")
-    candidates = m.election.candidates
-    ranked: set[Preference] = set()  # ballots already found complete
-    for s, p in zip(m.states, m.profiles):
-        if len(p.prefs) != m.election.num_voters:
-            raise DanglingState(
-                f"state {s!r} ranks {len(p.prefs)} voters, "
-                f"expected {m.election.num_voters}"
-            )
-        for i, r in enumerate(p.prefs, start=1):
-            if r in ranked:
-                continue
-            if not ranks_every_candidate(r.order, candidates):
-                raise DanglingState(
-                    f"state {s!r}, voter {i}: order {r.as_text()} does not "
-                    f"rank every candidate exactly once"
-                )
-            ranked.add(r)
-    if len(m.partitions) != m.election.num_voters:
-        raise PartitionError("need one partition per voter")
-    for voter in m.election.voters:
-        seen: dict[str, InformationSet] = {}
-        for block in m.blocks(voter):
-            if not block:
-                raise PartitionError(f"voter {voter} has an empty block")
-            for s in block:
-                if s not in m._positions:
-                    raise UnknownState(
-                        f"voter {voter}'s partition mentions unknown state {s!r}"
-                    )
-                if s in seen:
-                    raise PartitionError(
-                        f"voter {voter}: state {s!r} appears in two blocks"
-                    )
-                seen[s] = block
-        if len(seen) != len(m.states):
-            missing = [s for s in m.states if s not in seen]
-            raise PartitionError(
-                f"voter {voter}'s partition misses state(s) {missing}"
-            )
-    if m.tiebreak is not None and not ranks_every_candidate(
-            m.tiebreak.order, candidates):
-        raise DanglingState("tiebreak order must rank every candidate once")
-    if m.point is not None and m.point not in m.states:
-        raise UnknownState(f"point {m.point!r} is not a state")
 
 
 def restrict(m: ProfileModel, keep) -> ProfileModel:

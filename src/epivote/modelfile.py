@@ -32,11 +32,11 @@ from .model import (
 
 
 def parse_model(text: str, validate: bool = True) -> ProfileModel:
-    """Parse the text format. With validate=False only syntax is checked.
-
-    The unvalidated path still produces a structurally usable model (the
-    partitions cover the states); it exists so the axiom checker can examine
-    models that break the own-preference condition.
+    """Parse the text format into a ProfileModel, whose construction checks
+    the structure (a partition that misses or repeats a state raises
+    PartitionError). validate=True also runs validate_model's own-preference
+    rule; validate=False skips it, so the axiom checker can examine models
+    that break it.
     """
     candidates: tuple[str, ...] | None = None
     num_voters: int | None = None

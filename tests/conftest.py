@@ -62,10 +62,8 @@ def pointed_models(draw, broken=False):
     orders, so information sets often hold several states. Each voter's
     partition splits the states sharing one of her preferences into blocks
     at random, so she always knows her own preference. With broken=True it
-    splits all states at random instead, so a block may mix her
-    preferences, and one draw in two also breaks one voter's partition: it
-    misses a state, or repeats one in a block of its own. The model is
-    otherwise well formed.
+    splits all states at random instead, so a block may mix her preferences
+    and validate_model may reject the model, which is otherwise well formed.
     """
     e = Election(("a", "b", "c", "d")[:draw(st.sampled_from((3, 3, 3, 4)))],
                  draw(st.integers(2, 3)))
@@ -91,17 +89,6 @@ def pointed_models(draw, broken=False):
                 mine[j].append(s)
             blocks += mine
         partitions[i] = blocks
-    fault = draw(st.sampled_from((None, None, "miss", "repeat"))) if broken else None
-    if fault is not None:
-        blocks = partitions[draw(st.sampled_from(list(e.voters)))]
-        s = draw(st.sampled_from(states))
-        if fault == "repeat":
-            blocks.append([s])
-        else:
-            for block in blocks:
-                if s in block:
-                    block.remove(s)
-            blocks[:] = [b for b in blocks if b]
     return make_model(e, states, profiles, partitions,
                       tiebreak=draw(orders), point=draw(st.sampled_from(states)))
 

@@ -8,18 +8,20 @@ all (``2.5``, ``2.0``, ``"1"``, ``None``, ``True``); a bad formula names
 a voter like that, a candidate of another election, or holds a profile
 atom with one ballot too many. The two winner functions,
 ``plurality_winner`` and ``Plurality.winner``, are the unguarded hot path
-and are left out, and so is ``make_model``'s valuation, which
-``validate_model`` checks.
+and are left out. An Election or Preference takes any sequence of names
+and stores a tuple, so what it builds works at first use.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import pointed_models
 from epivote import (
     TRUE,
     CompAtom,
+    Election,
     EpivoteError,
     Know,
     KnowledgeProfile,
@@ -51,6 +53,8 @@ from epivote import (
     make_model,
     manipulations,
     payoff,
+    pref,
+    profile,
     pessimistic_manipulation,
     random_model,
     restrict,
@@ -58,6 +62,7 @@ from epivote import (
     sincere_conditional_profile,
     update,
     update_conditional_profile,
+    validate_model,
     virtual_voters,
     worst_winner,
 )
@@ -173,6 +178,7 @@ def calls_on(m, data):
          lambda: pessimistic_manipulation(kp, F, 1, b)),
         ("hypercube", lambda: hypercube(e, b)),
         ("make_model tiebreak", lambda: make_model(e, ["s"], [actual], None, b)),
+        ("make_model valuation", lambda: make_model(e, ["s"], [p])),
         ("random_model", lambda: random_model(random.Random(0), e, 4, b)),
         ("search_counterexample",
          lambda: search_counterexample("knowledge_de_re", e, Plurality(b), budget=1)),
@@ -237,3 +243,34 @@ def test_bad_arguments_raise_the_contract_errors(m, data):
         except (EpivoteError, ValueError):
             continue
         raise AssertionError(f"{name} returned {verdict!r}")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Election("ab", 2), "candidates 'ab' are one string"),
+    (lambda: Election(("a", "b"), True), "voter count True is not an int"),
+    (lambda: Election(("a", "b"), 2.0), "voter count 2.0 is not an int"),
+    (lambda: Election(("a", "b"), "2"), "voter count '2' is not an int"),
+    (lambda: Election(("a", 1), 2), "candidate name 1 is not an identifier"),
+    (lambda: Preference("abc"), "candidates 'abc' are one string"),
+], ids=["one string", "bool voters", "float voters", "str voters",
+        "int candidate", "one-string ballot"])
+def test_an_election_or_preference_that_cannot_be_used_is_refused(build, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        build()
+
+
+def test_elections_and_preferences_built_from_lists_work():
+    """Both used to keep the list and raise TypeError (unhashable) at
+    first use."""
+    e = Election(["a", "b", "c"], 2)
+    assert e == Election(("a", "b", "c"), 2) and hash(e.candidates)
+    F = Plurality(pref("a>b>c"))
+    assert F.winner(e, profile("b>a>c", "c>b>a")) == "b"
+    cube = hypercube(e, pref("a>b>c"))
+    assert classify(cube.at(cube.states[0]), F, 1).kind
+    ballot = Preference(["a", "b", "c"])
+    assert ballot == pref("a>b>c") and hash(ballot)
+    m = make_model(e, ["s", "t"], [Profile((ballot, ballot))] * 2,
+                   {1: [["s", "t"]]}, pref("a>b>c"), "s")
+    validate_model(m)
+    assert classify(m.pointed(), F, 1).kind

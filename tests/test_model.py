@@ -1,17 +1,22 @@
 """Core model layer: elections, preferences, profiles, S5 structure."""
 
+import dataclasses
 import itertools
 import random
+import re
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import fixture_path
+from conftest import fixture_path, pointed_models
 from epivote import model
 from epivote import (
     DanglingState,
     Election,
     EmptySet,
+    EpivoteError,
     KnowledgeProfile,
     OwnPreferenceViolation,
     PartitionError,
@@ -23,13 +28,11 @@ from epivote import (
     classify,
     dominant_manipulation_of_infoset,
     dominant_preference,
-    enumerate_conditional_equilibria,
     hypercube,
     induced_votes,
-    induced_winners,
-    is_conditional_equilibrium,
     load_model,
     make_model,
+    parse_model,
     pessimistic_manipulation,
     pref,
     profile,
@@ -37,6 +40,7 @@ from epivote import (
     random_model,
     restrict,
     validate_model,
+    write_model,
 )
 
 ABC = Election(("a", "b", "c"), 2)
@@ -145,25 +149,27 @@ def test_make_model_defaults_to_singletons():
 
 
 def test_validate_rejects_overlapping_blocks():
-    m = make_model(
-        ABC,
-        ["s", "t"],
-        [profile("a>b>c", "c>b>a"), profile("a>b>c", "c>b>a")],
-        partitions={1: [["s", "t"], ["t"]]},
-    )
-    with pytest.raises(PartitionError):
-        validate_model(m)
+    """Refused when built, with the message validate_model gave."""
+    with pytest.raises(PartitionError,
+                       match="^voter 1: state 't' appears in two blocks$"):
+        make_model(
+            ABC,
+            ["s", "t"],
+            [profile("a>b>c", "c>b>a"), profile("a>b>c", "c>b>a")],
+            partitions={1: [["s", "t"], ["t"]]},
+        )
 
 
 def test_validate_rejects_uncovered_state():
-    m = make_model(
-        ABC,
-        ["s", "t"],
-        [profile("a>b>c", "c>b>a"), profile("a>b>c", "c>b>a")],
-        partitions={1: [["s"]]},
-    )
-    with pytest.raises(PartitionError):
-        validate_model(m)
+    """Refused when built, with the message validate_model gave."""
+    with pytest.raises(PartitionError,
+                       match=r"^voter 1's partition misses state\(s\) \['t'\]$"):
+        make_model(
+            ABC,
+            ["s", "t"],
+            [profile("a>b>c", "c>b>a"), profile("a>b>c", "c>b>a")],
+            partitions={1: [["s"]]},
+        )
 
 
 def test_validate_reports_own_preference_witness():
@@ -181,9 +187,8 @@ def test_validate_reports_own_preference_witness():
 
 
 def test_validate_rejects_unknown_point():
-    m = make_model(ABC, ["s"], [profile("a>b>c", "c>b>a")], point="zz")
-    with pytest.raises(UnknownState):
-        validate_model(m)
+    with pytest.raises(UnknownState, match="^point 'zz' is not a state$"):
+        make_model(ABC, ["s"], [profile("a>b>c", "c>b>a")], point="zz")
 
 
 def test_information_set_lookup(nested_doubt):
@@ -256,52 +261,36 @@ def test_state_lookup_matches_linear_scans():
 
 
 def test_lookup_on_unvalidated_partitions():
-    uncovered = make_model(ABC, ["s", "t"], [profile("a>b>c", "c>b>a")] * 2,
-                           partitions={1: [["s"]]})
-    assert uncovered.block_ids(1) == (0, -1)
-    with pytest.raises(PartitionError):
-        uncovered.block_of(1, "t")
+    """The partitions the index once had to survive (a state in no block or
+    in two) are refused when built, with validate_model's old message, so
+    every lookup finds one block."""
+    two = [profile("a>b>c", "c>b>a")] * 2
+    for partitions, message in (
+            ({1: [["s"]]}, r"^voter 1's partition misses state\(s\) \['t'\]$"),
+            ({2: [["s"]]}, r"^voter 2's partition misses state\(s\) \['t'\]$"),
+            ({1: [["s", "t"], ["t"]]}, "^voter 1: state 't' appears in two blocks$")):
+        with pytest.raises(PartitionError, match=message):
+            make_model(ABC, ["s", "t"], two, partitions=partitions)
+    m = make_model(ABC, ["s", "t"], two, partitions={2: [["t", "s"]]})
+    assert (m.block_ids(1), m.block_ids(2)) == ((0, 1), (0, 0))
+    assert [m.block_ids_at(si) for si in (0, 1)] == [(0, 0), (1, 0)]
+    assert m.block_of(2, "t") == ("s", "t")
     with pytest.raises(UnknownState):
-        uncovered.block_of(1, "zz")
+        m.block_of(1, "zz")
     with pytest.raises(UnknownState):
-        uncovered.index("zz")
-    ballots = ((pref("a>b>c"),), (pref("b>a>c"), pref("c>a>b")))
-    assert induced_votes(uncovered, ballots, "s") == profile("a>b>c", "b>a>c")
-    with pytest.raises(PartitionError):
-        induced_votes(uncovered, ballots, "t")
-    # voter 2 has one block that misses t: nothing may read her last ballot
-    half = make_model(ABC, ["s", "t"], [profile("a>b>c", "c>b>a")] * 2,
-                      partitions={2: [["s"]]})
-    cp = ((pref("a>b>c"), pref("b>a>c")), (pref("c>a>b"),))
-    rule = Plurality(pref("a>b>c"))
-    for call in (lambda: induced_votes(half, cp, "t"),
-                 lambda: induced_winners(half, rule, cp),
-                 lambda: is_conditional_equilibrium(half, rule, cp),
-                 lambda: enumerate_conditional_equilibria(half, rule)):
-        with pytest.raises(PartitionError, match="voter 2's partition"):
-            call()
-    overlapping = make_model(ABC, ["s", "t"], [profile("a>b>c", "c>b>a")] * 2,
-                             partitions={1: [["s", "t"], ["t"]]})
-    assert overlapping.block_ids(1) == (0, 0)
-    assert overlapping.block_of(1, "t") == ("s", "t")
+        m.index("zz")
 
 
 def test_fewer_partitions_than_voters_raise_partition_error():
-    """Built directly, such a model constructs and validate_model reports
-    it; every per-voter read refuses it with the same PartitionError."""
+    """Built directly or by dataclasses.replace, such a model is refused with
+    the PartitionError validate_model and every per-voter read gave."""
     e = Election(("a", "b"), 2)
-    m = model.ProfileModel(e, ("s",), (profile("a>b", "b>a"),), ((("s",),),),
-                           pref("a>b"), "s")
-    rule, cp = Plurality(m.tiebreak), ((pref("a>b"),), (pref("b>a"),))
-    for call in (lambda: validate_model(m),
-                 lambda: m.blocks(2),
-                 lambda: m.block_ids(1),
-                 lambda: m.block_of(1, "s"),
-                 lambda: m.block_ids_at(0),
-                 lambda: classify(m.pointed(), rule, 2),
-                 lambda: induced_votes(m, cp, "s"),
-                 lambda: is_conditional_equilibrium(m, rule, cp),
-                 lambda: enumerate_conditional_equilibria(m, rule)):
+    m = model.ProfileModel(e, ("s",), (profile("a>b", "b>a"),),
+                           ((("s",),), (("s",),)), pref("a>b"), "s")
+    for call in (lambda: model.ProfileModel(
+                     e, ("s",), (profile("a>b", "b>a"),), ((("s",),),),
+                     pref("a>b"), "s"),
+                 lambda: dataclasses.replace(m, partitions=m.partitions[:1])):
         with pytest.raises(PartitionError, match="^need one partition per voter$"):
             call()
     assert m.blocks(1) == (("s",),)
@@ -432,8 +421,9 @@ def test_tiebreak_that_does_not_rank_the_candidates_is_refused(order):
 
 
 def test_validate_checks_each_distinct_ballot_once(monkeypatch):
-    """The 576-state cube has 24 distinct ballots (and a tiebreak); a ballot
-    that fails is still reported at its first state and voter."""
+    """Building the 576-state cube's model checks its 24 distinct ballots
+    (and the tiebreak) once each; a ballot that fails is still reported at
+    its first state and voter, when the model is built."""
     cube = hypercube(Election(("a", "b", "c", "d"), 2), tiebreak=pref("c>a>d>b"))
     calls = []
     real = model.ranks_every_candidate
@@ -443,10 +433,158 @@ def test_validate_checks_each_distinct_ballot_once(monkeypatch):
         return real(order, candidates)
 
     monkeypatch.setattr(model, "ranks_every_candidate", counted)
-    validate_model(cube)
+    assert dataclasses.replace(cube) == cube
     assert len(calls) == 24 + 1
-    bad = make_model(ABC, ["s", "t", "u"],
-                     [profile("a>b>c", "a>b>c"), profile("a>b>c", "a>b"),
-                      profile("a>b", "c>b>a")])
     with pytest.raises(DanglingState, match="^state 't', voter 2: order a>b does"):
-        validate_model(bad)
+        make_model(ABC, ["s", "t", "u"],
+                   [profile("a>b>c", "a>b>c"), profile("a>b>c", "a>b"),
+                    profile("a>b", "c>b>a")])
+
+
+# ------------------------------------------------- the construction check
+
+def old_validate_structure(m):
+    """validate_model's structural pass before models checked themselves
+    when built, the oracle for what construction refuses. m needs only the
+    fields, ``blocks`` and the first-wins ``_positions``."""
+    if not m.states:
+        raise EmptySet("a model needs at least one state")
+    if len(set(m.states)) != len(m.states):
+        raise PartitionError("duplicate state names")
+    if len(m.profiles) != len(m.states):
+        raise DanglingState("valuation does not cover every state")
+    candidates = m.election.candidates
+    ranked = set()
+    for s, p in zip(m.states, m.profiles):
+        if len(p.prefs) != m.election.num_voters:
+            raise DanglingState(
+                f"state {s!r} ranks {len(p.prefs)} voters, "
+                f"expected {m.election.num_voters}"
+            )
+        for i, r in enumerate(p.prefs, start=1):
+            if r in ranked:
+                continue
+            if not model.ranks_every_candidate(r.order, candidates):
+                raise DanglingState(
+                    f"state {s!r}, voter {i}: order {r.as_text()} does not "
+                    f"rank every candidate exactly once"
+                )
+            ranked.add(r)
+    if len(m.partitions) != m.election.num_voters:
+        raise PartitionError("need one partition per voter")
+    for voter in m.election.voters:
+        seen = {}
+        for block in m.blocks(voter):
+            if not block:
+                raise PartitionError(f"voter {voter} has an empty block")
+            for s in block:
+                if s not in m._positions:
+                    raise UnknownState(
+                        f"voter {voter}'s partition mentions unknown state {s!r}"
+                    )
+                if s in seen:
+                    raise PartitionError(
+                        f"voter {voter}: state {s!r} appears in two blocks"
+                    )
+                seen[s] = block
+        if len(seen) != len(m.states):
+            missing = [s for s in m.states if s not in seen]
+            raise PartitionError(
+                f"voter {voter}'s partition misses state(s) {missing}"
+            )
+    if m.point is not None and m.point not in m.states:
+        raise UnknownState(f"point {m.point!r} is not a state")
+
+
+FAULTS = ("miss", "repeat", "unknown member", "empty block", "unknown point",
+          "twin state", "short valuation", "partial ballot", "lost partition")
+
+
+@st.composite
+def faulty_fields(draw):
+    """(fault, fields) of a drawn pointed model with one structural fault.
+    "miss" and "repeat" break one voter's partition: it misses a state, or
+    repeats one in a block of its own."""
+    m = draw(pointed_models(broken=True))
+    fields = {f.name: getattr(m, f.name) for f in dataclasses.fields(m)}
+    parts = [list(blocks) for blocks in m.partitions]
+    i = draw(st.sampled_from(list(m.election.voters)))
+    s = draw(st.sampled_from(m.states))
+    fault = draw(st.sampled_from(FAULTS))
+    if fault == "miss":
+        cut = [tuple(t for t in block if t != s) for block in parts[i - 1]]
+        parts[i - 1] = [block for block in cut if block]
+    elif fault == "repeat":
+        parts[i - 1].append((s,))
+    elif fault == "unknown member":
+        parts[i - 1][0] += ("zz",)
+    elif fault == "empty block":
+        parts[i - 1].append(())
+    elif fault == "unknown point":
+        fields["point"] = "zz"
+    elif fault == "twin state":
+        fields["states"] += (s,)
+        fields["profiles"] += (m.profile_at(s),)
+    elif fault == "short valuation":
+        fields["profiles"] = m.profiles[:-1]
+    elif fault == "partial ballot":
+        k = m.index(s)
+        ballots = list(m.profiles[k].prefs)
+        ballots[i - 1] = Preference(ballots[i - 1].order[:-1])
+        fields["profiles"] = (m.profiles[:k] + (model.Profile(tuple(ballots)),)
+                              + m.profiles[k + 1:])
+    else:
+        parts.pop(i - 1)
+    fields["partitions"] = tuple(map(tuple, parts))
+    return fault, fields
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(faulty=faulty_fields())
+def test_building_raises_what_validate_model_raised(faulty):
+    """Every structural fault is refused when the model is built, with the
+    exception and message the structural pass of validate_model gave. A
+    partition fault is refused by make_model too, which named an unknown
+    member in its own words and crashed on an empty block."""
+    fault, fields = faulty
+    positions = {}
+    for k, s in enumerate(fields["states"]):
+        positions.setdefault(s, k)
+    old = SimpleNamespace(**fields, _positions=positions,
+                          blocks=lambda voter: fields["partitions"][voter - 1])
+    with pytest.raises(EpivoteError) as want:
+        old_validate_structure(old)
+    expected = f"^{re.escape(str(want.value))}$"
+    with pytest.raises(type(want.value), match=expected):
+        model.ProfileModel(**fields)
+    if fault in FAULTS[:4]:
+        with pytest.raises(type(want.value), match=expected):
+            make_model(fields["election"], fields["states"], fields["profiles"],
+                       dict(enumerate(fields["partitions"], start=1)),
+                       fields["tiebreak"], fields["point"])
+
+
+def test_make_model_refuses_partition_keys_that_are_no_voters():
+    """A key outside the voters used to be dropped, so voter 1 below got
+    singletons and the model validated."""
+    two = [profile("a>b>c", "c>b>a")] * 2
+    for key in ("1", 3, 0, True):
+        with pytest.raises(UnknownVoter, match=f"^no voter {key!r} in 1..2$"):
+            make_model(ABC, ["s", "t"], two, partitions={key: [["s", "t"]]})
+    m = make_model(ABC, ["s", "t"], two, partitions={1: [["s", "t"]], 2: None})
+    assert m.blocks(1) == (("s", "t"),) and m.blocks(2) == (("s",), ("t",))
+
+
+@pytest.mark.parametrize("name", ["s t", "s#1", "s=1", "", "s}", "{s", "s\tt",
+                                  "s\n", 7, None])
+def test_state_names_the_model_file_cannot_hold_are_refused(name):
+    """write_model would save such a name in a file parse_model rejects."""
+    with pytest.raises(ValueError, match="^state name .* cannot be written"):
+        make_model(ABC, ["s", name], [profile("a>b>c", "c>b>a")] * 2)
+
+
+def test_state_names_round_trip_through_the_model_file():
+    names = ["a:b", "s;1", "x>y", "(t)", "\u00e9t\u00e9", "1"]
+    m = make_model(ABC, names, [profile("a>b>c", "c>b>a")] * len(names),
+                   partitions={1: [names[:2], names[2:]]}, point="a:b")
+    assert parse_model(write_model(m)) == m
