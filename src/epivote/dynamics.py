@@ -208,7 +208,7 @@ def random_model(rng: random.Random, e: Election | None = None, max_states: int 
 def _draw(rng: random.Random, e, max_states: int, tiebreak):
     """random_model's draw: (e, states, profiles, blocks, tiebreak, point).
     blocks[i - 1] lists voter i's blocks as sorted lists of state positions,
-    in the order make_model gives them; point is a position."""
+    in the model's canonical order; point is a position."""
     if max_states < 2:
         raise ValueError(f"max_states must be at least 2, got {max_states}")
     check_size(max_states, "states")

@@ -134,7 +134,11 @@ def _check_shape(m: ProfileModel, cp: ConditionalProfile) -> None:
 def worst_winner(
     m: ProfileModel, F: VotingRule, cp: ConditionalProfile, v: VirtualVoter
 ) -> Candidate:
-    """The winner v fears most across her block, by her true preference."""
+    """The winner v fears most across her block, by her true preference.
+    ValueError unless v's information set is one of her blocks."""
+    if v.infoset not in m.blocks(v.voter):
+        raise ValueError(f"{v.infoset} is not an information set of voter "
+                         f"{v.voter}")
     truth = m.profile_at(v.infoset[0]).pref(v.voter)
     winners = induced_winners(m, F, cp)
     return truth.worst_of(winners[m.index(s)] for s in v.infoset)
@@ -143,9 +147,10 @@ def worst_winner(
 def payoff(
     m: ProfileModel, F: VotingRule, cp: ConditionalProfile, v: VirtualVoter
 ) -> int:
-    """Worst-case rank of the winner over v's block, by v's true preference."""
-    truth = m.profile_at(v.infoset[0]).pref(v.voter)
-    return truth.rank_value(worst_winner(m, F, cp, v))
+    """Worst-case rank of the winner over v's block, by v's true preference
+    (ValueError as in worst_winner)."""
+    worst = worst_winner(m, F, cp, v)
+    return m.profile_at(v.infoset[0]).pref(v.voter).rank_value(worst)
 
 
 class _Player(NamedTuple):

@@ -61,6 +61,7 @@ from .model import (
     Voter,
     check_ranking,
     check_voter,
+    listed,
     own_preference_violations,
     ranks_every_candidate,
 )
@@ -363,10 +364,11 @@ class _Parser:
                     continue
                 break
             self.expect_sym("}")
-            missing = [v for v in self.e.voters if v not in prefs]
-            if missing:
+            if len(prefs) < self.e.num_voters:
+                missing = (v for v in self.e.voters if v not in prefs)
                 raise IncompleteProfileAtom(
-                    f"position {pos}: profile atom lacks voter(s) {missing}"
+                    f"position {pos}: profile atom lacks voter(s) "
+                    f"{listed(missing, self.e.num_voters - len(prefs))}"
                 )
             return ProfileAtom(Profile(tuple(prefs[v] for v in self.e.voters)))
         if kind == "int":
@@ -467,6 +469,14 @@ def _text(phi: Formula, kids: list[str]) -> str:
 def check_formula(phi: Formula, e: Election) -> None:
     """Raise if the formula mentions voters or candidates outside e; the
     first offending node in pre-order raises."""
+    _check(phi, e, True)
+
+
+def _check(phi: Formula, e: Election, have_rule: bool) -> None:
+    """check_formula, then MissingTiebreak if the formula has a winner atom
+    and not have_rule: whether a rule is needed is decided once, before any
+    atom is read, so it does not depend on evaluation order."""
+    wins = False
     stack, seen = [phi], set()  # seen: connectives whose subformulas are pushed
     while stack:
         phi = stack.pop()
@@ -499,6 +509,7 @@ def check_formula(phi: Formula, e: Election) -> None:
                     _need_candidate(b, e)
                 case WinsAtom(candidate=c):
                     _need_candidate(c, e)
+                    wins = True
                 case Know(voter=i):
                     check_voter(i, e.num_voters)
                 case Top() | Announce():
@@ -508,6 +519,8 @@ def check_formula(phi: Formula, e: Election) -> None:
         if (kids := _children(phi)) and id(phi) not in seen:
             seen.add(id(phi))
             stack += kids[::-1]
+    if wins and not have_rule:
+        raise MissingTiebreak("winner atoms need a voting rule")
 
 
 def _need_candidate(c: Candidate, e: Election):
@@ -534,7 +547,7 @@ def denotation(
 
 def _holding(m: ProfileModel, F: VotingRule | None, phi: Formula, states):
     """The given states where phi holds; SizeLimit if _eval runs out of stack."""
-    check_formula(phi, m.election)
+    _check(phi, m.election, F is not None)
     live, memo = frozenset(m.states), {}
     try:
         return tuple(s for s in states if _eval(m, s, F, phi, live, memo))
@@ -583,8 +596,6 @@ def _eval(
         case CompAtom(voter=i, better=a, worse=b):
             return a != b and m.profile_at(s).prefs[i - 1].prefers(a, b)
         case WinsAtom(candidate=c):
-            if F is None:
-                raise MissingTiebreak("winner atoms need a voting rule")
             return F.winner(m.election, m.profile_at(s)) == c
         case Top():
             return True
@@ -606,7 +617,6 @@ def _eval(
                     t for t in m.states
                     if t in live and _eval(m, t, F, a, live, memo))
             return _eval(m, s, F, sub, kept, memo)
-    raise TypeError(f"not a formula: {phi!r}")
 
 
 # ------------------------------------------------------- derived-atom expansion
@@ -623,9 +633,10 @@ def expand_abbreviations(
     K, and announcement only. Semantically equivalent on every model of the
     election, and exponentially larger; exists to pin the derived atoms to
     their definitions, not for regular use. A formula of another election
-    raises as check_formula does.
+    raises as check_formula does, and one with winner atoms raises
+    MissingTiebreak when F is None.
     """
-    check_formula(phi, e)
+    _check(phi, e, F is not None)
     profiles = e.all_profiles()
 
     def dis(selected) -> Formula:
@@ -645,14 +656,11 @@ def expand_abbreviations(
                     return dis([])
                 return dis(p for p in profiles if p.pref(i).prefers(a, b))
             case WinsAtom(candidate=c):
-                if F is None:
-                    raise MissingTiebreak("winner atoms need a voting rule")
                 return dis(p for p in profiles if F.winner(e, p) == c)
             case Top():
                 return dis(profiles)
-            case ProfileAtom() | Not() | And() | Know() | Announce():
+            case _:
                 return _rebuild(f, kids)
-        raise TypeError(f"not a formula: {f!r}")
 
     return _fold(phi, visit)
 

@@ -55,6 +55,16 @@ def check_size(total: int, what: str) -> None:
         raise SizeLimit(f"{total} {what} exceed the cap of {SIZE_CAP}")
 
 
+def listed(items, count: int) -> str:
+    """The list repr of items, a lazy iterable of count things an error
+    message names: the first five of them, then '...' and the count when
+    there are more, so a message stays one short line at any count."""
+    first = list(itertools.islice(items, 5))
+    if count <= 5:
+        return repr(first)
+    return f"{repr(first)[:-1]}, ...] ({count} in all)"
+
+
 def check_voter(voter, n: int) -> None:
     """Raise UnknownVoter unless voter is an int (not a bool) in 1..n.
 
@@ -207,8 +217,8 @@ def profile(*orders: str) -> Profile:
 class ProfileModel:
     """States with vote-profile valuations and one partition per voter.
 
-    ``partitions[i-1]`` lists voter i's blocks; blocks and their members are
-    kept in file order (block order = order of each block's first state).
+    ``partitions[i-1]`` lists voter i's blocks; the constructor stores them in
+    ``states`` order (members, and blocks by first state) however given.
     ``tiebreak`` and ``point`` are optional at this layer: rules that need a
     tie-breaking order and pointed operations check for them at use time.
 
@@ -268,7 +278,7 @@ class ProfileModel:
                 ranked.add(r)
         if len(self.partitions) != e.num_voters:
             raise PartitionError("need one partition per voter")
-        table = []
+        table, parts = [], []
         for voter, blocks in enumerate(self.partitions, start=1):
             row = [-1] * len(states)  # -1 until a block covers the state
             for k, block in enumerate(blocks):
@@ -284,14 +294,20 @@ class ProfileModel:
                             f"voter {voter}: state {s!r} appears in two blocks")
                     row[si] = k
             if -1 in row:
-                missing = [s for s, k in zip(states, row) if k < 0]
-                raise PartitionError(
-                    f"voter {voter}'s partition misses state(s) {missing}")
-            table.append(tuple(row))
+                missing = (s for s, k in zip(states, row) if k < 0)
+                raise PartitionError(f"voter {voter}'s partition misses "
+                                     f"state(s) {listed(missing, row.count(-1))}")
+            # canonical order: blocks by their first state, members by state
+            order = dict.fromkeys(row)  # block numbers, first-seen
+            number = dict(zip(order, itertools.count()))
+            table.append(tuple(map(number.__getitem__, row)))
+            parts.append(tuple(tuple(sorted(blocks[k], key=pos.__getitem__))
+                               for k in order))
         if self.tiebreak is not None:
             check_ranking(self.tiebreak, e.candidates, "tiebreak")
         if self.point is not None and self.point not in pos:
             raise UnknownState(f"point {self.point!r} is not a state")
+        object.__setattr__(self, "partitions", tuple(parts))
         object.__setattr__(self, "_positions", pos)
         object.__setattr__(self, "_block_ids", tuple(table))
 
@@ -364,37 +380,32 @@ def make_model(
     tiebreak: Preference | None = None,
     point: str | None = None,
 ) -> ProfileModel:
-    """Build a ProfileModel with canonical block ordering.
+    """Build a ProfileModel from a dict or sequence valuation.
 
     ``profiles`` maps state -> Profile (dict) or is a sequence aligned with
     ``states``. ``partitions`` maps voter -> iterable of state-iterables;
     omitted voters (or a None value) get all-singleton partitions, and a key
     that is no voter raises UnknownVoter (check_voter). The ProfileModel
-    constructor checks the rest of the structure.
+    constructor checks the rest of the structure and sets the block order.
     """
     states = tuple(states)
     if isinstance(profiles, dict):
         missing = [s for s in states if s not in profiles]
         if missing:
-            raise DanglingState(f"no valuation for state(s) {missing}")
+            raise DanglingState(
+                f"no valuation for state(s) {listed(missing, len(missing))}")
         profs = tuple(profiles[s] for s in states)
     else:
         profs = tuple(profiles)
     raw = partitions or {}
     for voter in raw:
         check_voter(voter, election.num_voters)
-    # unknown members and empty blocks sort first; the constructor names them
-    position = {s: k for k, s in enumerate(states)}.get
     parts = []
     for voter in election.voters:
         given = raw.get(voter)
         if given is None:
-            parts.append(tuple((s,) for s in states))
-            continue
-        blocks = [tuple(sorted(blk, key=lambda s: position(s, -1)))
-                  for blk in given]
-        blocks.sort(key=lambda b: position(b[0], -1) if b else -1)
-        parts.append(tuple(blocks))
+            given = [(s,) for s in states]
+        parts.append(tuple(map(tuple, given)))
     return ProfileModel(
         election=election,
         states=states,
@@ -452,23 +463,21 @@ def check_ranking(ballot: Preference, candidates, what: str) -> None:
 def restrict(m: ProfileModel, keep) -> ProfileModel:
     """Submodel on the given states, in original order.
 
-    The valuation is cut down and every partition block is intersected with
-    the kept states; blocks that lose all members disappear. The point is
-    kept if it survives, dropped to None otherwise. Raises EmptySet when no
-    state survives (models must be nonempty).
+    The valuation is cut down and every block is intersected with the kept
+    states; empty cuts disappear and the constructor orders the rest. The
+    point is kept if it survives, dropped to None otherwise. EmptySet when
+    no state survives (the constructor's, as models must be nonempty).
     """
     keep_set = set(m.states).intersection(keep)
-    states = [s for s in m.states if s in keep_set]
-    if not states:
-        raise EmptySet("restriction keeps no state")
-    partitions = {}
-    for voter in m.election.voters:
-        cuts = ([s for s in block if s in keep_set] for block in m.blocks(voter))
-        partitions[voter] = [cut for cut in cuts if cut]
-    return make_model(
-        m.election, states, [m.profile_at(s) for s in states],
-        partitions=partitions, tiebreak=m.tiebreak,
-        point=m.point if m.point in keep_set else None,
+    kept = [k for k, s in enumerate(m.states) if s in keep_set]
+    partitions = []
+    for blocks in m.partitions:
+        cuts = (tuple(s for s in block if s in keep_set) for block in blocks)
+        partitions.append(tuple(cut for cut in cuts if cut))
+    return ProfileModel(
+        m.election, tuple(m.states[k] for k in kept),
+        tuple(m.profiles[k] for k in kept), tuple(partitions),
+        m.tiebreak, m.point if m.point in keep_set else None,
     )
 
 
@@ -487,16 +496,14 @@ def hypercube(
         check_ranking(tiebreak, election.candidates, "tiebreak")
     profiles = election.all_profiles()
     states = tuple(_hypercube_label(p) for p in profiles)
-    partitions: dict[Voter, list[list[str]]] = {}
+    partitions = []
     for voter in election.voters:
         groups: dict[Preference, list[str]] = {}
         for s, p in zip(states, profiles):
             groups.setdefault(p.prefs[voter - 1], []).append(s)
-        partitions[voter] = list(groups.values())
-    return make_model(
-        election, states, dict(zip(states, profiles)),
-        partitions=partitions, tiebreak=tiebreak,
-    )
+        partitions.append(tuple(map(tuple, groups.values())))
+    return ProfileModel(election, states, tuple(profiles), tuple(partitions),
+                        tiebreak)
 
 
 def _hypercube_label(p: Profile) -> str:

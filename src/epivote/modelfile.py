@@ -25,6 +25,7 @@ from .model import (
     Profile,
     ProfileModel,
     check_candidate_names,
+    listed,
     make_model,
     ranks_every_candidate,
     validate_model,
@@ -187,9 +188,10 @@ def _parse_profile(lineno, text, candidates, num_voters, ballots) -> Profile:
             _check_order(lineno, order, candidates, f"voter {voter}'s order")
             ballot = ballots[order_part] = Preference(order)
         prefs[voter] = ballot
-    missing = [v for v in range(1, num_voters + 1) if v not in prefs]
-    if missing:
-        raise ModelSyntaxError(lineno, f"state lacks voter(s) {missing}")
+    if len(prefs) < num_voters:
+        missing = (v for v in range(1, num_voters + 1) if v not in prefs)
+        raise ModelSyntaxError(lineno, f"state lacks voter(s) "
+                               f"{listed(missing, num_voters - len(prefs))}")
     return Profile(tuple(prefs[v] for v in range(1, num_voters + 1)))
 
 

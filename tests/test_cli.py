@@ -825,6 +825,26 @@ def test_a_broken_partition_in_a_file_exits_two(capsys, tmp_path, broken, argv):
         2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("formula", ["false & wins a", "wins a & false"])
+def test_winner_atoms_without_a_tiebreak_exit_two_in_either_order(
+        capsys, tmp_path, formula):
+    path = tmp_path / "untied.model"
+    path.write_text("candidates: a b\nvoters: 1\nstate s = 1: a>b\n")
+    assert run(capsys, "check", str(path), "-f", formula) == (
+        2, "", "error: winner atoms need a voting rule\n")
+
+
+def test_a_state_that_lacks_millions_of_voters_is_one_short_line(
+        capsys, tmp_path):
+    """The message listed all 2,999,999 missing voters on one 25 MB line."""
+    path = tmp_path / "crowd.model"
+    path.write_text("candidates: a b\nvoters: 3000000\nstate s = 1: a>b\n")
+    code, out, err = run(capsys, "check", str(path), "-f", "true")
+    assert (code, out) == (2, "")
+    assert err == ("error: line 3: state lacks voter(s) "
+                   "[2, 3, 4, 5, 6, ...] (2999999 in all)\n")
+
+
 def run_in_process(argv):
     """Exit code, stdout and stderr of main as the interpreter reports them;
     a crash line on stderr fails the calling test."""

@@ -226,6 +226,9 @@ def calls_on(m, data):
         ("induced_winners", lambda: induced_winners(m, F, c)),
         ("is_conditional_equilibrium", lambda: is_conditional_equilibrium(m, F, c)),
         ("payoff", lambda: payoff(m, F, c, vv)),
+        ("payoff no information set", lambda: payoff(m, F, cp, VirtualVoter(1, ()))),
+        ("worst_winner no information set",
+         lambda: worst_winner(m, F, cp, VirtualVoter(1, vv.infoset * 2))),
         ("worst_winner", lambda: worst_winner(m, F, c, vv)),
         ("update_conditional_profile",
          lambda: update_conditional_profile(m, c, update(m, TRUE))),
@@ -274,3 +277,16 @@ def test_elections_and_preferences_built_from_lists_work():
                    {1: [["s", "t"]]}, pref("a>b>c"), "s")
     validate_model(m)
     assert classify(m.pointed(), F, 1).kind
+
+
+@pytest.mark.parametrize("infoset", [(), ("s", "t", "u")], ids=["empty", "all"])
+def test_a_virtual_voter_that_is_no_information_set_is_refused(nested_doubt,
+                                                               infoset):
+    """Voter 1's blocks on nested-doubt are (s t) (u): the empty set raised
+    IndexError, and all three states got payoff 0 and worst winner c."""
+    m = nested_doubt
+    F, cp = Plurality(m.tiebreak), sincere_conditional_profile(m)
+    for read in (payoff, worst_winner):
+        with pytest.raises(ValueError,
+                           match="is not an information set of voter 1$"):
+            read(m, F, cp, VirtualVoter(1, infoset))

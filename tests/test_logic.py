@@ -3,6 +3,7 @@
 import ast
 import pathlib
 import random
+import re
 import signal
 
 import pytest
@@ -20,6 +21,7 @@ from epivote import (
     Indistinguishable,
     Know,
     KnowledgeProfile,
+    MissingTiebreak,
     Not,
     Plurality,
     PrefAtom,
@@ -630,3 +632,24 @@ def test_only_the_evaluator_recurses():
     assert {(p.name, name) for p in modules
             for name in reaches_itself(call_graph(p))} == {("logic.py", "_eval")}
     assert any(name.startswith("_Parser.") for name in call_graph(logic.__file__))
+
+
+@pytest.mark.parametrize("text", ["false & wins a", "wins a & false",
+                                  "[false] wins a", "true | wins a"])
+def test_winner_atoms_need_a_rule_wherever_they_sit(hidden_flip, text):
+    """The rule is decided before any atom is read: the first two once
+    differed, and the last two returned a denotation."""
+    phi = parse(text, hidden_flip.election)
+    for run in (lambda: denotation(hidden_flip, None, phi),
+                lambda: evaluate(hidden_flip.pointed(), None, phi),
+                lambda: expand_abbreviations(phi, hidden_flip.election, None)):
+        with pytest.raises(MissingTiebreak,
+                           match="^winner atoms need a voting rule$"):
+            run()
+
+
+def test_a_profile_atom_that_lacks_voters_names_the_first_five():
+    for n, lacking in ((3, "[2, 3]"), (9, "[2, 3, 4, 5, 6, ...] (8 in all)")):
+        with pytest.raises(IncompleteProfileAtom, match=re.escape(
+                f"position 0: profile atom lacks voter(s) {lacking}")):
+            parse("profile{1: a>b>c}", Election(("a", "b", "c"), n))

@@ -32,6 +32,7 @@ from epivote import (
     induced_votes,
     load_model,
     make_model,
+    sincere_conditional_profile,
     parse_model,
     pessimistic_manipulation,
     pref,
@@ -588,3 +589,62 @@ def test_state_names_round_trip_through_the_model_file():
     m = make_model(ABC, names, [profile("a>b>c", "c>b>a")] * len(names),
                    partitions={1: [names[:2], names[2:]]}, point="a:b")
     assert parse_model(write_model(m)) == m
+
+
+# ------------------------------------------------- the canonical block order
+
+FIXTURE_MODELS = [load_model(fixture_path(name), validate=False) for name in (
+    "hidden-flip", "known-aligned", "known-opposed", "mutual-doubt",
+    "nested-doubt", "three-voters")]
+
+
+@st.composite
+def shuffled_partitions(draw):
+    """(m, parts): a drawn or fixture model, and its partitions with every
+    voter's blocks and every block's members in a drawn order."""
+    m = draw(st.one_of(pointed_models(), st.sampled_from(FIXTURE_MODELS)))
+    parts = tuple(
+        tuple(tuple(draw(st.permutations(block)))
+              for block in draw(st.permutations(blocks)))
+        for blocks in m.partitions)
+    return m, parts
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(drawn=shuffled_partitions())
+def test_the_constructor_sets_the_canonical_block_order(drawn):
+    """However the blocks are given, the model is the canonical one, and
+    restricting to every state and the model file give it back."""
+    m, parts = drawn
+    built = model.ProfileModel(m.election, m.states, m.profiles, parts,
+                               m.tiebreak, m.point)
+    assert built == m
+    assert all(built.block_ids(i) == m.block_ids(i) for i in m.election.voters)
+    assert restrict(built, built.states) == built
+    assert parse_model(write_model(built), validate=False) == built
+
+
+def test_reversed_blocks_give_the_same_game(mutual_doubt):
+    """Built with its blocks reversed, mutual-doubt once kept them reversed,
+    so its sincere conditional profile listed each voter's ballots
+    backwards."""
+    m = mutual_doubt
+    backwards = tuple(tuple(reversed(blocks)) for blocks in m.partitions)
+    built = dataclasses.replace(m, partitions=backwards)
+    assert built.blocks(1) == (("t",), ("u", "v"))
+    assert sincere_conditional_profile(built) == sincere_conditional_profile(m)
+    assert parse_model(write_model(built)) == built == m
+
+
+def test_a_long_list_of_missing_states_is_cut_short():
+    states = [f"s{k}" for k in range(8)]
+    ballots = [profile("a>b>c", "c>b>a")] * 8
+    with pytest.raises(PartitionError, match=re.escape(
+            "voter 1's partition misses state(s) "
+            "['s1', 's2', 's3', 's4', 's5', ...] (7 in all)")):
+        make_model(ABC, states, ballots, partitions={1: [["s0"]]})
+    with pytest.raises(DanglingState, match=re.escape(
+            "no valuation for state(s) ['s2', 's3', 's4', 's5', 's6', ...] "
+            "(6 in all)")):
+        make_model(ABC, states, dict(zip(states[:2], ballots)))
+    assert model.listed(iter("abcde"), 5) == "['a', 'b', 'c', 'd', 'e']"
